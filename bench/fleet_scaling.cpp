@@ -1,6 +1,5 @@
-// Fleet scaling profile: simulation throughput vs fleet size and
-// scheduler, plus the two memory stories — shared immutable config and
-// device hibernation.
+// Fleet scaling profile: simulation throughput vs fleet size, plus the
+// two memory stories — shared immutable config and device hibernation.
 //
 // Sections, written to BENCH_fleet.json:
 //
@@ -12,25 +11,21 @@
 //     buys at population scale.
 //
 //   * scaling — device-simulated-seconds per wall second for fleets of
-//     8/32/128/1024 devices running a continuous push-campaign workload
-//     under BOTH schedulers (lockstep barriers vs work-stealing) and BOTH
-//     cores (baseline per-device heaps vs batched wheel + slab + arena).
+//     8/32/128/1024 devices running a continuous push-campaign workload.
 //     Each row's simulated horizon is scaled so the timed region stays
 //     >= 0.5 s of wall time, and every row is best-of-N (N = 5 below 128
 //     devices, where scheduler jitter dominates short rows; 3 above) —
 //     the committed numbers are stable enough to gate a >15% CI
 //     regression. Every row also reports steady-state heap allocations
 //     per device-epoch, measured over the second half of the run (the
-//     first half is warmup: retained buffers, slabs, and arenas grow to
-//     their working-set sizes there). The 1024-device work-stealing row
-//     and the best 1024-device batched row are the numbers CI gates
-//     against.
+//     first half is warmup: retained buffers grow to their working-set
+//     sizes there). The 1024-device row is the number CI gates against.
 //
-//   * hibernation — the work-stealing scheduler with a 64-device
-//     resident cap, at 128 and 8192 devices: live heap bytes per PARKED
-//     device after finish() (the snapshot working set) and peak RSS per
-//     device. Sublinear growth is the contract: bytes/device at 8192
-//     must be well under half of bytes/device at 128.
+//   * hibernation — a 64-device resident cap, at 128 and 8192 devices:
+//     live heap bytes per PARKED device after finish() (the snapshot
+//     working set) and peak RSS per device. Sublinear growth is the
+//     contract: bytes/device at 8192 must be well under half of
+//     bytes/device at 128.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -92,9 +87,8 @@ using Clock = std::chrono::steady_clock;
 constexpr int kMemoryDevices = 64;
 
 /// Best-of-N per scaling row. Short rows (small fleets) are dominated by
-/// scheduler wakeup jitter — at 32 devices the work-stealing leg can
-/// swing ±5% rep to rep — so they get extra reps to keep the committed
-/// numbers gateable.
+/// scheduler wakeup jitter — at 32 devices a row can swing ±5% rep to
+/// rep — so they get extra reps to keep the committed numbers gateable.
 int reps_for(int devices) { return devices < 128 ? 5 : 3; }
 
 // --- Peak-RSS probes (Linux): VmHWM, resettable via clear_refs. ---
@@ -156,8 +150,8 @@ fleet::PushCampaign make_campaign(std::int64_t sim_seconds) {
 }
 
 /// Simulated horizon per row, sized so the timed region stays >= 0.5 s
-/// of wall time even for the fastest leg (work-stealing sustains close
-/// to 2M device-sim-s/wall-s on the reference hardware).
+/// of wall time even for the fastest row (close to 2M device-sim-s/wall-s
+/// on the reference hardware).
 std::int64_t sim_seconds_for(int devices) {
   return std::max<std::int64_t>(60, 1000000 / devices);
 }
@@ -212,29 +206,22 @@ std::int64_t copied_leg_bytes_per_device(int n) {
 
 struct ScaleResult {
   int devices = 0;
-  const char* scheduler = "lockstep";
-  const char* core = "baseline";
-  int threads = 0;  // shards (lockstep) or workers (work-stealing)
+  int threads = 0;  // fleet workers
   std::int64_t sim_seconds = 0;
   double wall_s = 0.0;
   double device_sim_s_per_wall_s = 0.0;
   /// Heap allocations per device per 5 s epoch over the steady-state
-  /// (post-warmup) half of the run. The arena-backed batched core should
-  /// sit at ~0; any climb here is a retention bug.
+  /// (post-warmup) half of the run; any climb here is a retention bug.
   double allocs_per_device_epoch = 0.0;
   std::int64_t peak_rss_kb_per_device = 0;
   std::uint64_t pushes_delivered = 0;
 };
 
-ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
-                           fleet::FleetCore core, int threads,
+ScaleResult run_fleet_once(int devices, int threads,
                            std::int64_t sim_seconds) {
   reset_peak_rss();
   fleet::FleetOptions options;
   options.device_count = devices;
-  options.scheduler = scheduler;
-  options.core = core;
-  options.shards = threads;
   options.workers = static_cast<unsigned>(threads);
   options.epoch = sim::seconds(5);
   options.install_plan =
@@ -243,8 +230,8 @@ ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
   fleet.broker().add_campaign(make_campaign(sim_seconds));
   fleet.start();
 
-  // First half is warmup (buffers, slabs, and arenas settle); the alloc
-  // counter only watches the second half. Splitting run_for is
+  // First half is warmup (retained buffers settle); the alloc counter
+  // only watches the second half. Splitting run_for is
   // observable-result-neutral (the equivalence suites cover multi-leg
   // timelines), and both halves stay inside the timed region.
   const std::int64_t warmup_s = sim_seconds / 2;
@@ -261,11 +248,6 @@ ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
 
   ScaleResult result;
   result.devices = devices;
-  result.scheduler = scheduler == fleet::Scheduler::kWorkStealing
-                         ? "work_stealing"
-                         : "lockstep";
-  result.core =
-      core == fleet::FleetCore::kBatched ? "batched" : "baseline";
   result.threads = threads;
   result.sim_seconds = sim_seconds;
   result.wall_s = wall;
@@ -284,13 +266,11 @@ ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
   return result;
 }
 
-ScaleResult best_of(int devices, fleet::Scheduler scheduler,
-                    fleet::FleetCore core, int threads) {
+ScaleResult best_of(int devices, int threads) {
   const std::int64_t sim_seconds = sim_seconds_for(devices);
   ScaleResult best;
   for (int rep = 0; rep < reps_for(devices); ++rep) {
-    const ScaleResult r =
-        run_fleet_once(devices, scheduler, core, threads, sim_seconds);
+    const ScaleResult r = run_fleet_once(devices, threads, sim_seconds);
     if (rep == 0 || r.wall_s < best.wall_s) best = r;
   }
   return best;
@@ -316,7 +296,6 @@ HibernationResult run_hibernating(int devices, int cap) {
   const std::int64_t heap_before = live_bytes();
   fleet::FleetOptions options;
   options.device_count = devices;
-  options.scheduler = fleet::Scheduler::kWorkStealing;
   options.workers = 4;
   options.max_resident_devices = cap;
   options.epoch = sim::seconds(5);
@@ -351,9 +330,8 @@ HibernationResult run_hibernating(int devices, int cap) {
 }  // namespace
 
 int main() {
-  std::printf("=== fleet scaling: push campaigns, both schedulers, both "
-              "cores, best-of-%d/%d rows ===\n\n", reps_for(8),
-              reps_for(1024));
+  std::printf("=== fleet scaling: push campaigns, best-of-%d/%d rows ===\n\n",
+              reps_for(8), reps_for(1024));
 
   const std::int64_t shared_bpd =
       shared_leg_bytes_per_device(kMemoryDevices);
@@ -371,39 +349,22 @@ int main() {
 
   const int sizes[] = {8, 32, 128, 1024};
   std::vector<ScaleResult> results;
-  std::printf("%8s %14s %9s %8s %8s %9s %20s %11s %13s %9s\n", "devices",
-              "scheduler", "core", "threads", "sim-s", "wall (s)",
-              "dev-sim-s / wall-s", "allocs/d-ep", "peak RSS/dev", "pushes");
-  double gate_throughput = 0.0;
-  double batched_gate_throughput = 0.0;
+  std::printf("%8s %8s %8s %9s %20s %11s %13s %9s\n", "devices", "threads",
+              "sim-s", "wall (s)", "dev-sim-s / wall-s", "allocs/d-ep",
+              "peak RSS/dev", "pushes");
   for (const int n : sizes) {
-    const int threads = n >= 32 ? 4 : 2;
-    for (const fleet::FleetCore core :
-         {fleet::FleetCore::kBaseline, fleet::FleetCore::kBatched}) {
-      for (const fleet::Scheduler scheduler :
-           {fleet::Scheduler::kLockstep, fleet::Scheduler::kWorkStealing}) {
-        const ScaleResult r = best_of(n, scheduler, core, threads);
-        std::printf(
-            "%8d %14s %9s %8d %8lld %9.3f %20.0f %11.2f %10lld kB %9llu\n",
-            r.devices, r.scheduler, r.core, r.threads,
-            static_cast<long long>(r.sim_seconds), r.wall_s,
-            r.device_sim_s_per_wall_s, r.allocs_per_device_epoch,
-            static_cast<long long>(r.peak_rss_kb_per_device),
-            static_cast<unsigned long long>(r.pushes_delivered));
-        results.push_back(r);
-        if (n == 1024 && core == fleet::FleetCore::kBaseline &&
-            scheduler == fleet::Scheduler::kWorkStealing) {
-          gate_throughput = r.device_sim_s_per_wall_s;
-        }
-        if (n == 1024 && core == fleet::FleetCore::kBatched) {
-          batched_gate_throughput = std::max(batched_gate_throughput,
-                                             r.device_sim_s_per_wall_s);
-        }
-      }
-    }
+    const ScaleResult r = best_of(n, n >= 32 ? 4 : 2);
+    std::printf("%8d %8d %8lld %9.3f %20.0f %11.2f %10lld kB %9llu\n",
+                r.devices, r.threads, static_cast<long long>(r.sim_seconds),
+                r.wall_s, r.device_sim_s_per_wall_s,
+                r.allocs_per_device_epoch,
+                static_cast<long long>(r.peak_rss_kb_per_device),
+                static_cast<unsigned long long>(r.pushes_delivered));
+    results.push_back(r);
   }
+  const double gate_throughput = results.back().device_sim_s_per_wall_s;
 
-  std::printf("\nhibernation (work-stealing, resident cap 64):\n");
+  std::printf("\nhibernation (resident cap 64):\n");
   std::printf("%8s %6s %9s %20s %16s %13s %10s\n", "devices", "cap",
               "wall (s)", "dev-sim-s / wall-s", "bytes/parked-dev",
               "peak RSS/dev", "evictions");
@@ -434,15 +395,14 @@ int main() {
     for (std::size_t i = 0; i < results.size(); ++i) {
       const ScaleResult& r = results[i];
       std::fprintf(json,
-                   "    {\"devices\": %d, \"scheduler\": \"%s\", "
-                   "\"core\": \"%s\", "
+                   "    {\"devices\": %d, "
                    "\"threads\": %d, \"sim_seconds\": %lld, "
                    "\"wall_s\": %.4f, "
                    "\"device_sim_s_per_wall_s\": %.1f, "
                    "\"allocs_per_device_epoch\": %.2f, "
                    "\"peak_rss_kb_per_device\": %lld, "
                    "\"pushes_delivered\": %llu}%s\n",
-                   r.devices, r.scheduler, r.core, r.threads,
+                   r.devices, r.threads,
                    static_cast<long long>(r.sim_seconds), r.wall_s,
                    r.device_sim_s_per_wall_s, r.allocs_per_device_epoch,
                    static_cast<long long>(r.peak_rss_kb_per_device),
@@ -469,11 +429,9 @@ int main() {
     std::fprintf(json,
                  "  ],\n"
                  "  \"throughput_device_sim_s_per_wall_s\": %.1f,\n"
-                 "  \"batched_device_sim_s_per_wall_s\": %.1f,\n"
                  "  \"hibernation_bytes_per_parked_device\": %lld\n"
                  "}\n",
-                 gate_throughput, batched_gate_throughput,
-                 static_cast<long long>(hib_gate_bytes));
+                 gate_throughput, static_cast<long long>(hib_gate_bytes));
     std::fclose(json);
     std::printf("\nwrote BENCH_fleet.json\n");
   }

@@ -1,7 +1,5 @@
-// Metering hot-path profile: the allocation-free dense path vs the
-// pre-optimization baseline (fresh slice/breakdown buffers every tick,
-// window structures rebuilt every slice), measured in the same run on the
-// same workload.
+// Metering hot-path profile: ticks per wall second, allocations, and the
+// tick's gather-vs-fold split on a metering-dominated workload.
 //
 // The workload is metering-dominated by design: a dozen apps with steady
 // CPU loads and routine tags, two bound-service collateral windows for the
@@ -10,22 +8,13 @@
 // exactly the regime long soaks and large sweeps live in, where per-tick
 // cost gates throughput.
 //
-// Three legs, written to BENCH_hotpath.json:
-//   * baseline — fresh buffers every tick, window structures rebuilt
-//     every slice, virtual sink chain (the pre-optimization shape);
-//   * hot      — allocation-free dense path, still folding through the
-//     per-sink virtual on_slice walks (the pre-pipeline shape, kept as
-//     the committed gate's continuity leg);
-//   * fused    — hot buffers + the fused MeteringPipeline: one pass over
-//     the touched cells feeds every profiler.
-// Per leg: sims-per-wall-second, ticks-per-wall-second, allocations per
-// tick over the timed window, steady-state allocations per tick (the hot
-// and fused legs must be exactly zero), and — from a separate
-// stage-profiling window so clock reads never pollute the timed
-// throughput — the tick's gather-vs-fold nanosecond split. All legs must
-// produce bit-identical per-uid totals; a digest mismatch fails the
-// bench, because an optimization that changes results is a bug, not a
-// speedup.
+// One leg, written to BENCH_hotpath.json as "fused" (the allocation-free
+// buffers plus the fused MeteringPipeline, the only metering path):
+// sims-per-wall-second, ticks-per-wall-second, allocations per tick over
+// the timed window, steady-state allocations per tick (must be exactly
+// zero), and — from a separate stage-profiling window so clock reads
+// never pollute the timed throughput — the tick's gather-vs-fold
+// nanosecond split. The bench fails if the steady state allocates.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -81,44 +70,12 @@ struct LegResult {
   double gather_ns_per_tick = 0.0;
   double fold_ns_per_tick = 0.0;
   std::uint64_t ticks = 0;
-  std::string digest;
 };
 
-void append_f64(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g|", v);
-  out += buf;
-}
-
-/// Full-precision per-uid totals of every profiler after the run.
-std::string scene_digest(apps::Testbed& bed) {
-  std::string out;
-  core::EAndroidEngine& engine = bed.eandroid()->engine();
-  for (const kernelsim::Uid uid : engine.known_uids()) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "u%llu:",
-                  static_cast<unsigned long long>(uid.value));
-    out += buf;
-    append_f64(out, engine.direct_mj(uid));
-    append_f64(out, engine.collateral_mj(uid));
-    append_f64(out, bed.battery_stats().app_energy_mj(uid));
-    append_f64(out, bed.power_tutor().app_energy_mj(uid));
-  }
-  append_f64(out, engine.screen_row_mj());
-  append_f64(out, engine.system_row_mj());
-  append_f64(out, engine.true_total_mj());
-  append_f64(out, bed.battery_stats().total_mj());
-  append_f64(out, bed.power_tutor().total_mj());
-  append_f64(out, bed.server().battery().consumed_total_mj());
-  return out;
-}
-
-LegResult run_leg(bool hot_path, bool fused_metering) {
+LegResult run_leg() {
   apps::TestbedOptions options;
   options.seed = 1;
   options.sample_period = sim::millis(kSampleMs);
-  options.hot_path = hot_path;
-  options.fused_metering = fused_metering;
   apps::Testbed bed(options);
 
   // Two victims with bindable services (collateral windows + service CPU)…
@@ -175,8 +132,8 @@ LegResult run_leg(bool hot_path, bool fused_metering) {
       static_cast<double>(steady_ticks);
 
   // Stage-profiling window: split the tick into gather (+seal + battery
-  // flow) vs fold (pipeline / virtual sinks). Timing is enabled only
-  // here, so the throughput window below never pays the clock reads.
+  // flow) vs fold (pipeline + sinks). Timing is enabled only here, so
+  // the throughput window below never pays the clock reads.
   sampler.enable_stage_timing(true);
   bed.sim().run_for(sim::seconds(kStageS));
   sampler.enable_stage_timing(false);
@@ -199,109 +156,58 @@ LegResult run_leg(bool hot_path, bool fused_metering) {
                            static_cast<double>(result.ticks);
   result.sims_per_wall_s = static_cast<double>(kTimedS) / result.wall_s;
   result.ticks_per_s = static_cast<double>(result.ticks) / result.wall_s;
-
-  bed.sampler().flush();
-  result.digest = scene_digest(bed);
   return result;
 }
 
 }  // namespace
 
 int main() {
-  std::printf("=== metering: baseline vs hot vs fused pipeline, same run "
-              "===\n(12 apps, 2 service windows, %lld ms sampling, %lld "
-              "simulated seconds timed)\n\n",
+  std::printf("=== metering hot path ===\n(12 apps, 2 service windows, %lld "
+              "ms sampling, %lld simulated seconds timed)\n\n",
               static_cast<long long>(kSampleMs),
               static_cast<long long>(kTimedS));
 
-  const LegResult baseline = run_leg(/*hot_path=*/false, /*fused=*/false);
-  const LegResult hot = run_leg(/*hot_path=*/true, /*fused=*/false);
-  const LegResult fused = run_leg(/*hot_path=*/true, /*fused=*/true);
-  const double speedup = hot.sims_per_wall_s / baseline.sims_per_wall_s;
-  const double fused_speedup =
-      fused.sims_per_wall_s / baseline.sims_per_wall_s;
-  // The fused pipeline's own claim: fold-stage nanoseconds per tick vs
-  // the virtual sink chain on the same hot buffers.
-  const double fold_speedup =
-      fused.fold_ns_per_tick > 0.0
-          ? hot.fold_ns_per_tick / fused.fold_ns_per_tick
-          : 0.0;
-  const bool digests_match =
-      baseline.digest == hot.digest && hot.digest == fused.digest;
-  const bool hot_alloc_free = hot.steady_allocs_per_tick == 0.0;
-  const bool fused_alloc_free = fused.steady_allocs_per_tick == 0.0;
+  const LegResult fused = run_leg();
+  const bool alloc_free = fused.steady_allocs_per_tick == 0.0;
 
-  std::printf("%10s %10s %16s %14s %14s %12s %12s\n", "leg", "wall (s)",
+  std::printf("%10s %16s %14s %14s %12s %12s\n", "wall (s)",
               "sim-s / wall-s", "allocs/tick", "steady a/t", "gather ns/t",
               "fold ns/t");
-  const auto print_leg = [](const char* name, const LegResult& r) {
-    std::printf("%10s %10.3f %16.0f %14.2f %14.2f %12.0f %12.0f\n", name,
-                r.wall_s, r.sims_per_wall_s, r.allocs_per_tick,
-                r.steady_allocs_per_tick, r.gather_ns_per_tick,
-                r.fold_ns_per_tick);
-  };
-  print_leg("baseline", baseline);
-  print_leg("hot", hot);
-  print_leg("fused", fused);
-  std::printf("\nspeedup hot: %.2fx   fused: %.2fx   fold-stage "
-              "(fused vs virtual): %.2fx\ndigests: %s   steady-state: "
-              "hot %s, fused %s\n",
-              speedup, fused_speedup, fold_speedup,
-              digests_match ? "identical" : "DIVERGED",
-              hot_alloc_free ? "allocation-free" : "ALLOCATES",
-              fused_alloc_free ? "allocation-free" : "ALLOCATES");
+  std::printf("%10.3f %16.0f %14.2f %14.2f %12.0f %12.0f\n", fused.wall_s,
+              fused.sims_per_wall_s, fused.allocs_per_tick,
+              fused.steady_allocs_per_tick, fused.gather_ns_per_tick,
+              fused.fold_ns_per_tick);
+  std::printf("\nsteady-state: %s\n",
+              alloc_free ? "allocation-free" : "ALLOCATES");
 
   std::FILE* json = std::fopen("BENCH_hotpath.json", "w");
   if (json != nullptr) {
-    auto leg = [json](const char* name, const LegResult& r,
-                      const char* extra) {
-      std::fprintf(json,
-                   "  \"%s\": {\"wall_s\": %.4f, \"sims_per_wall_s\": %.1f, "
-                   "\"allocs_per_tick\": %.3f, "
-                   "\"steady_allocs_per_tick\": %.3f, \"ticks\": %llu, "
-                   "\"gather_ns_per_tick\": %.1f, "
-                   "\"fold_ns_per_tick\": %.1f%s},\n",
-                   name, r.wall_s, r.sims_per_wall_s, r.allocs_per_tick,
-                   r.steady_allocs_per_tick,
-                   static_cast<unsigned long long>(r.ticks),
-                   r.gather_ns_per_tick, r.fold_ns_per_tick, extra);
-    };
     std::fprintf(json,
                  "{\n"
                  "  \"bench\": \"hotpath_profile\",\n"
                  "  \"workload\": {\"apps\": %d, \"service_windows\": %d, "
-                 "\"sample_period_ms\": %lld, \"timed_sim_seconds\": %lld},\n",
-                 kLoadApps + kVictims + 1, kVictims,
-                 static_cast<long long>(kSampleMs),
-                 static_cast<long long>(kTimedS));
-    leg("baseline", baseline, "");
-    leg("hot", hot, "");
-    char fused_extra[64];
-    std::snprintf(fused_extra, sizeof(fused_extra),
-                  ", \"fused_ticks_per_s\": %.1f", fused.ticks_per_s);
-    leg("fused", fused, fused_extra);
-    std::fprintf(json,
-                 "  \"speedup\": %.3f,\n"
-                 "  \"fused_speedup\": %.3f,\n"
-                 "  \"fold_stage_speedup\": %.3f,\n"
-                 "  \"digest_match\": %s,\n"
-                 "  \"hot_steady_state_allocation_free\": %s,\n"
+                 "\"sample_period_ms\": %lld, \"timed_sim_seconds\": %lld},\n"
+                 "  \"fused\": {\"wall_s\": %.4f, \"sims_per_wall_s\": %.1f, "
+                 "\"allocs_per_tick\": %.3f, "
+                 "\"steady_allocs_per_tick\": %.3f, \"ticks\": %llu, "
+                 "\"gather_ns_per_tick\": %.1f, "
+                 "\"fold_ns_per_tick\": %.1f, \"fused_ticks_per_s\": %.1f},\n"
                  "  \"fused_steady_state_allocation_free\": %s\n"
                  "}\n",
-                 speedup, fused_speedup, fold_speedup,
-                 digests_match ? "true" : "false",
-                 hot_alloc_free ? "true" : "false",
-                 fused_alloc_free ? "true" : "false");
+                 kLoadApps + kVictims + 1, kVictims,
+                 static_cast<long long>(kSampleMs),
+                 static_cast<long long>(kTimedS), fused.wall_s,
+                 fused.sims_per_wall_s, fused.allocs_per_tick,
+                 fused.steady_allocs_per_tick,
+                 static_cast<unsigned long long>(fused.ticks),
+                 fused.gather_ns_per_tick, fused.fold_ns_per_tick,
+                 fused.ticks_per_s, alloc_free ? "true" : "false");
     std::fclose(json);
     std::printf("wrote BENCH_hotpath.json\n");
   }
 
-  if (!digests_match) {
-    std::printf("FAIL: the three metering legs diverged\n");
-    return 1;
-  }
-  if (!hot_alloc_free || !fused_alloc_free) {
-    std::printf("FAIL: hot/fused path allocates in steady state\n");
+  if (!alloc_free) {
+    std::printf("FAIL: the metering path allocates in steady state\n");
     return 1;
   }
   return 0;

@@ -51,10 +51,7 @@ std::string ChaosResult::digest() const {
 }
 
 ChaosResult run_chaos(const ChaosOptions& options) {
-  Testbed bed({.seed = options.seed,
-               .hot_path = options.hot_path,
-               .fused_metering = options.fused_metering,
-               .obs = options.obs});
+  Testbed bed({.seed = options.seed, .obs = options.obs});
   RandomWorkload workload(bed, {.seed = options.seed ^ kWorkloadSalt});
   bed.start();
 

@@ -32,13 +32,6 @@ struct ChaosOptions {
   int fault_count = 12;
   /// Faults land uniformly in (0, horizon].
   sim::Duration horizon = sim::seconds(120);
-  /// False replays the identical schedule on the pre-optimization
-  /// metering path (TestbedOptions::hot_path); digests must not change.
-  bool hot_path = true;
-  /// False replays the identical schedule through the virtual sink chain
-  /// instead of the fused pipeline (TestbedOptions::fused_metering);
-  /// digests must not change.
-  bool fused_metering = true;
   /// Observability passthrough (TestbedOptions::obs). Tracing a chaos
   /// run captures the fault/recovery event order; the trace text rides
   /// on ChaosResult::trace_text and stays OUT of the digest, which must

@@ -7,11 +7,8 @@
 // (E-Android) exactly like Fig 9's paired bars.
 //
 // Every entry point takes a trailing TestbedOptions `base`: the seed
-// argument overrides base.seed, everything else (hot_path, engine config,
-// power params) is honored as given. This replaces the old
-// ScopedBaselinePath process-global — replaying a scenario on the
-// pre-optimization metering path is now `run_scene1(seed, {.hot_path =
-// false})`, explicit at the call site.
+// argument overrides base.seed, everything else (engine config, power
+// params, observability) is honored as given.
 #pragma once
 
 #include <memory>

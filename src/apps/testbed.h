@@ -7,10 +7,6 @@
 // keeps the familiar TestbedOptions (plain values, freely mutable before
 // construction) and translates them into a DeviceSpec, wrapping the
 // params and engine config into the spec's shared immutable form.
-//
-// The old ScopedBaselinePath process-global is gone: baseline-vs-hot-path
-// is an explicit option (TestbedOptions::hot_path / DeviceSpec::hot_path)
-// threaded through scenario and chaos entry points, never ambient state.
 #pragma once
 
 #include <memory>
@@ -26,19 +22,6 @@ struct TestbedOptions {
   core::EngineConfig engine_config{};
   sim::Duration sample_period = sim::millis(250);
   hw::PowerParams params = hw::nexus4_params();
-  /// When false the metering path runs in its pre-optimization shape:
-  /// the sampler allocates fresh slice/breakdown buffers every tick and
-  /// the engine rebuilds its window-derived structures every slice. Both
-  /// shapes compute the identical sums in the identical order, so results
-  /// are bit-for-bit equal — the hotpath bench and the golden-digest
-  /// equivalence tests rely on that.
-  bool hot_path = true;
-  /// When true (the default) the three profilers fold through the fused
-  /// MeteringPipeline — one pass over the slice's touched cells; false
-  /// keeps the per-sink virtual on_slice walks. Orthogonal to hot_path
-  /// and bit-identical either way (the 8-way equivalence matrix in
-  /// tests/integration/hotpath_equivalence_test.cpp enforces it).
-  bool fused_metering = true;
   /// Observability: off by default (zero per-tick cost beyond a null
   /// check). Turn on `obs.trace` to capture a TraceRecorder ring the
   /// golden-trace and differential suites can export.
@@ -61,8 +44,6 @@ class Testbed : public fleet::DeviceContext {
     spec.with_eandroid = options.with_eandroid;
     spec.eandroid_mode = options.eandroid_mode;
     spec.sample_period = options.sample_period;
-    spec.hot_path = options.hot_path;
-    spec.fused_metering = options.fused_metering;
     spec.obs = options.obs;
     spec.params = std::make_shared<const hw::PowerParams>(options.params);
     spec.engine_config =

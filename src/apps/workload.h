@@ -33,7 +33,7 @@ class RandomWorkload {
   /// Call before bed.start().
   ///
   /// NOTE: step() advances the device's own clock, so a RandomWorkload
-  /// device cannot take part in a fleet's lockstep epochs — fleets drive
+  /// device cannot take part in a fleet's causal windows — fleets drive
   /// load through the PushBroker and fault plans instead.
   RandomWorkload(fleet::DeviceContext& bed, WorkloadOptions options = {});
 

@@ -3,7 +3,7 @@
 namespace eandroid::core {
 
 EAndroid::EAndroid(framework::SystemServer& server, Mode mode,
-                   EngineConfig config, sim::MonotonicArena* scratch_arena)
+                   EngineConfig config)
     : tracker_(server),
       engine_(server, tracker_,
               [&] {
@@ -11,8 +11,7 @@ EAndroid::EAndroid(framework::SystemServer& server, Mode mode,
                   config.accounting_enabled = false;
                 }
                 return config;
-              }(),
-              scratch_arena),
+              }()),
       interface_(server, engine_) {}
 
 }  // namespace eandroid::core

@@ -4,14 +4,16 @@
 //   2. enhanced accounting  -> EAndroidEngine (Algorithm 1)
 //   3. revised interface    -> EAndroidBatteryInterface (Fig 8 view)
 //
-// Construct one per device, register it as a sink on the EnergySampler,
-// and read the view when the experiment ends:
+// Construct one per device, attach its engine to the sampler's metering
+// pipeline, and read the view when the experiment ends:
 //
 //   framework::SystemServer server(sim);
 //   ...install apps... server.boot();
 //   core::EAndroid ea(server);                 // subscribes to events
 //   energy::EnergySampler sampler(server);
-//   sampler.add_sink(&ea);
+//   energy::MeteringPipeline pipeline;
+//   ea.engine().attach_to(pipeline);
+//   sampler.set_pipeline(&pipeline);
 //   sampler.start();
 //   ...drive scenario...
 //   std::cout << ea.view().render("after scenario");
@@ -24,7 +26,6 @@
 #include "core/battery_interface.h"
 #include "core/engine.h"
 #include "core/window_tracker.h"
-#include "energy/slice.h"
 #include "framework/system_server.h"
 
 namespace eandroid::core {
@@ -36,17 +37,10 @@ enum class Mode {
   kComplete,
 };
 
-class EAndroid : public energy::AccountingSink {
+class EAndroid {
  public:
-  /// `scratch_arena` is forwarded to the engine's per-slice scratch (the
-  /// batched fleet core passes its shard group arena; null = heap).
   explicit EAndroid(framework::SystemServer& server,
-                    Mode mode = Mode::kComplete, EngineConfig config = {},
-                    sim::MonotonicArena* scratch_arena = nullptr);
-
-  void on_slice(const energy::EnergySlice& slice) override {
-    engine_.on_slice(slice);
-  }
+                    Mode mode = Mode::kComplete, EngineConfig config = {});
 
   [[nodiscard]] WindowTracker& tracker() { return tracker_; }
   [[nodiscard]] const WindowTracker& tracker() const { return tracker_; }

@@ -17,22 +17,8 @@ void sort_unique(std::vector<AppIdx>& v) {
 }  // namespace
 
 EAndroidEngine::EAndroidEngine(framework::SystemServer& server,
-                               WindowTracker& tracker, EngineConfig config,
-                               sim::MonotonicArena* scratch_arena)
-    : server_(server),
-      tracker_(tracker),
-      config_(config),
-      ids_(server.ids()),
-      screen_coll_(sim::ArenaFallbackAlloc<double>(scratch_arena)),
-      screen_coll_touched_(
-          sim::ArenaFallbackAlloc<kernelsim::AppIdx>(scratch_arena)),
-      delta_scratch_(sim::ArenaFallbackAlloc<double>(scratch_arena)),
-      delta_touched_(
-          sim::ArenaFallbackAlloc<kernelsim::AppIdx>(scratch_arena)),
-      drivers_scratch_(
-          sim::ArenaFallbackAlloc<kernelsim::AppIdx>(scratch_arena)),
-      bfs_stack_(sim::ArenaFallbackAlloc<kernelsim::AppIdx>(scratch_arena)),
-      bfs_seen_(sim::ArenaFallbackAlloc<std::uint8_t>(scratch_arena)) {
+                               WindowTracker& tracker, EngineConfig config)
+    : server_(server), tracker_(tracker), config_(config), ids_(server.ids()) {
   auto& sim = server_.simulator();
   if (auto* tr = sim.trace())
     coll_trace_name_ = tr->intern("engine.collateral");
@@ -189,55 +175,22 @@ const std::vector<AppIdx>& EAndroidEngine::closure_of(AppIdx root) {
   return out;
 }
 
-void EAndroidEngine::on_slice(const energy::EnergySlice& slice) {
-  if (!config_.accounting_enabled) return;
-  prepare_slice(slice);
-  fold_direct(slice);
-  fold_slice(slice);
-}
-
 void EAndroidEngine::prepare_slice(const energy::EnergySlice& slice) {
-  if (!config_.accounting_enabled) return;
   assert(&slice.ids() == &ids_);
   (void)slice;
   // The window-derived structures only change when a window opens or
   // closes; most slices reuse them untouched.
-  if (!config_.cache_window_structures ||
-      cached_generation_ != tracker_.generation()) {
+  if (cached_generation_ != tracker_.generation()) {
     rebuild_window_structures();
   }
 }
 
-void EAndroidEngine::fold_direct(const energy::EnergySlice& slice) {
-  // 1. Direct ("original") energy, component by component, plus the
-  // battery ground truth — accumulated with total_mj()'s exact
-  // association: system+screen seed the running sum, then apps add in
-  // ascending index order. This is the same operand sequence the fused
-  // pipeline's cell pass issues.
-  double running_total = slice.system_mj + slice.screen_mj;
-  auto& direct = direct_store_.by_app;
-  for (const AppIdx idx : slice.active()) {
-    running_total += slice.sum_at(idx);
-    if (direct.size() <= idx) direct.resize(idx + 1);
-    energy::AppSliceEnergy& acc = direct[idx];
-    acc.cpu_mj += slice.cpu_mj(idx);
-    acc.camera_mj += slice.camera_mj(idx);
-    acc.gps_mj += slice.gps_mj(idx);
-    acc.wifi_mj += slice.wifi_mj(idx);
-    acc.audio_mj += slice.audio_mj(idx);
-    for (const kernelsim::RoutineIdx r : slice.routines_at(idx)) {
-      acc.add_routine(r, slice.routine_mj_at(idx, r));
-    }
-  }
-  direct_store_.true_total_mj += running_total;
-}
-
 void EAndroidEngine::fold_slice(const energy::EnergySlice& slice) {
-  if (!config_.accounting_enabled) return;
   assert(&slice.ids() == &ids_);
   system_row_mj_ += slice.system_mj;
 
-  // 2. Collateral screen energy per driver (dense scratch).
+  // 1. Collateral screen energy per driver (dense scratch); the direct
+  // ("original") energy was folded by the pipeline's cell pass.
   for (const AppIdx a : screen_coll_touched_) screen_coll_[a] = 0.0;
   screen_coll_touched_.clear();
   auto add_screen_coll = [this](AppIdx driver, double mj) {
@@ -303,7 +256,7 @@ void EAndroidEngine::fold_slice(const energy::EnergySlice& slice) {
     }
   }
 
-  // 3. Charge each driver's map: its own screen collateral plus, through
+  // 2. Charge each driver's map: its own screen collateral plus, through
   // the closure, every reached app's direct energy and screen collateral.
   // Drivers ascending = canonical order.
   std::sort(screen_coll_touched_.begin(), screen_coll_touched_.end());

@@ -1,9 +1,10 @@
 // EAndroidEngine: the enhanced energy accounting module (paper §IV-B).
 //
-// Consumes the same energy slices as the baseline profilers, plus the
-// open-window set from the WindowTracker, and maintains a collateral
-// energy map per app. Algorithm 1's chain handling is realized as a
-// transitive closure over the open windows at each slice:
+// Consumes the same energy slices as the stock profilers (through the
+// MeteringPipeline), plus the open-window set from the WindowTracker,
+// and maintains a collateral energy map per app. Algorithm 1's chain
+// handling is realized as a transitive closure over the open windows at
+// each slice:
 //
 //   * app->app windows (activity, interrupt, service) form edges; the
 //     energy the driven app consumes during a slice is superimposed onto
@@ -38,7 +39,6 @@
 #include "energy/slice.h"
 #include "framework/system_server.h"
 #include "kernel/interner.h"
-#include "sim/arena.h"
 
 namespace eandroid::core {
 
@@ -48,28 +48,20 @@ struct EngineConfig {
   bool accounting_enabled = true;
   /// Ablation: when false only direct windows charge (no chains).
   bool chain_propagation = true;
-  /// When false the window-derived structures are rebuilt from scratch on
-  /// every slice — the pre-optimization cost structure, used as the
-  /// baseline leg of the hotpath bench. Results are identical either way.
-  bool cache_window_structures = true;
 };
 
-class EAndroidEngine : public energy::AccountingSink,
-                       public energy::SliceFoldStage {
+class EAndroidEngine : public energy::SliceFoldStage {
  public:
-  /// `scratch_arena` (optional) backs the per-slice scratch buffers; the
-  /// batched fleet core passes the shard group's arena so engine scratch
-  /// shares the group's contiguous working set. Null keeps the global
-  /// heap (identical behaviour — capacity retention does the real work).
   EAndroidEngine(framework::SystemServer& server, WindowTracker& tracker,
-                 EngineConfig config = {},
-                 sim::MonotonicArena* scratch_arena = nullptr);
+                 EngineConfig config = {});
 
-  /// Virtual-sink path: prepare + direct fold + collateral fold in one
-  /// call. The fused pipeline instead runs prepare_slice, folds the
-  /// direct store inside its own cell pass, and finishes with
-  /// fold_slice — the identical operations in the identical order.
-  void on_slice(const energy::EnergySlice& slice) override;
+  /// Registers the engine on `pipeline`: its direct store receives the
+  /// fused cell pass, and the two stages below bracket it. A
+  /// framework-only engine (accounting_enabled = false) registers
+  /// nothing, so it never sees a slice.
+  void attach_to(energy::MeteringPipeline& pipeline) {
+    if (config_.accounting_enabled) pipeline.set_engine(&direct_store_, this);
+  }
 
   // --- MeteringPipeline stages (energy/pipeline.h) ---
   /// Pre-cell-pass stage: rebuilds the window-derived structures when the
@@ -79,9 +71,6 @@ class EAndroidEngine : public energy::AccountingSink,
   /// Post-cell-pass stage: the system row and the collateral attribution
   /// (paper Algorithm 1); emits the engine.collateral trace marks.
   void fold_slice(const energy::EnergySlice& slice) override;
-  /// The direct-energy accumulator the pipeline's cell pass folds (and
-  /// the battery ground truth it keeps as a running sum).
-  [[nodiscard]] energy::DirectStore& direct_store() { return direct_store_; }
 
   // --- Accounting results ---
   /// Energy mechanically attributed to the app itself ("original energy").
@@ -135,9 +124,6 @@ class EAndroidEngine : public energy::AccountingSink,
     std::vector<kernelsim::AppIdx> from_touched;  // first-charged order
   };
 
-  /// Virtual-path direct fold: the same cells, sums, and association the
-  /// pipeline's fused pass feeds the direct store.
-  void fold_direct(const energy::EnergySlice& slice);
   /// Rebuilds the window-derived structures from the tracker's open set;
   /// also pre-sizes the hot-fold accumulators and scratch to the
   /// interner's population, so steady-state slices never hit a resize
@@ -161,7 +147,7 @@ class EAndroidEngine : public energy::AccountingSink,
 
   // --- Accumulators (dense by AppIdx) ---
   /// Direct energy + battery ground truth, in the energy-layer shape the
-  /// fused pipeline folds directly (energy/pipeline.h).
+  /// pipeline folds directly (energy/pipeline.h).
   energy::DirectStore direct_store_;
   std::vector<DriverMap> maps_;
   std::vector<std::uint8_t> has_map_;
@@ -179,15 +165,14 @@ class EAndroidEngine : public energy::AccountingSink,
   std::vector<std::vector<kernelsim::AppIdx>> closure_;
   std::vector<std::uint8_t> closure_valid_;
 
-  // --- Per-slice scratch (cleared in O(touched), never freed); backed
-  // by the shard arena when one was supplied at construction ---
-  sim::ScratchVector<double> screen_coll_;
-  sim::ScratchVector<kernelsim::AppIdx> screen_coll_touched_;
-  sim::ScratchVector<double> delta_scratch_;
-  sim::ScratchVector<kernelsim::AppIdx> delta_touched_;
-  sim::ScratchVector<kernelsim::AppIdx> drivers_scratch_;
-  sim::ScratchVector<kernelsim::AppIdx> bfs_stack_;
-  sim::ScratchVector<std::uint8_t> bfs_seen_;
+  // --- Per-slice scratch (cleared in O(touched), never freed) ---
+  std::vector<double> screen_coll_;
+  std::vector<kernelsim::AppIdx> screen_coll_touched_;
+  std::vector<double> delta_scratch_;
+  std::vector<kernelsim::AppIdx> delta_touched_;
+  std::vector<kernelsim::AppIdx> drivers_scratch_;
+  std::vector<kernelsim::AppIdx> bfs_stack_;
+  std::vector<std::uint8_t> bfs_seen_;
 
   // --- Observability ids, interned/registered at construction so the
   // per-slice trace/metric calls stay allocation-free ---

@@ -5,14 +5,6 @@
 
 namespace eandroid::energy {
 
-void BatteryStats::on_slice(const EnergySlice& slice) {
-  bind_ids(slice.ids());
-  for (const kernelsim::AppIdx idx : slice.active()) {
-    fold_app(idx, slice.sum_at(idx));
-  }
-  fold_tail(slice);
-}
-
 double BatteryStats::app_energy_mj(kernelsim::Uid uid) const {
   if (ids_ == nullptr) return 0.0;
   const kernelsim::AppIdx idx = ids_->find_app(uid);

@@ -16,29 +16,20 @@
 
 namespace eandroid::energy {
 
-class BatteryStats : public AccountingSink {
+/// Fed by the MeteringPipeline (energy/pipeline.h): bind_ids, then
+/// fold_columns and fold_tail once per slice.
+class BatteryStats {
  public:
   explicit BatteryStats(const framework::PackageManager& packages)
       : packages_(packages) {}
 
-  void on_slice(const EnergySlice& slice) override;
-
-  // --- Fused-pipeline folds (energy/pipeline.h) ---
-  // on_slice is exactly bind_ids + fold_app per active index + fold_tail;
-  // the pipeline issues the same calls from its single cell pass, so both
-  // paths run the identical additions in the identical order.
   void bind_ids(const kernelsim::IdTable& ids) {
     assert(ids_ == nullptr || ids_ == &ids);
     ids_ = &ids;
   }
-  /// Folds one active app's part-order sum (slice.sum_at association).
-  void fold_app(kernelsim::AppIdx idx, double sum_mj) {
-    if (app_mj_.size() <= idx) app_mj_.resize(idx + 1, 0.0);
-    app_mj_[idx] += sum_mj;
-  }
   /// Dense column fold over all `n` cells of a sealed slice's part
-  /// columns (EnergySlice::TouchedView). Bit-identical to fold_app over
-  /// the active list: untouched cells are exact +0.0, the per-cell
+  /// columns (EnergySlice::TouchedView). Equal to adding each active
+  /// app's slice.sum_at(): untouched cells are exact +0.0, the per-cell
   /// association is the same cpu+camera+gps+wifi+audio as sum_at(), and
   /// app_mj_ never holds -0.0, so the extra `+= +0.0` terms are bitwise
   /// no-ops. Straight-line over disjoint arrays — vectorises.
@@ -66,8 +57,8 @@ class BatteryStats : public AccountingSink {
 
  private:
   const framework::PackageManager& packages_;
-  /// Identifier table shared by every slice this sink has seen; bound on
-  /// the first slice (all slices fed to one sink must share a table).
+  /// Identifier table shared by every slice folded here; bound on the
+  /// first slice (all slices must share a table).
   const kernelsim::IdTable* ids_ = nullptr;
   /// Accumulated energy, dense by AppIdx — no hashing on the slice path.
   std::vector<double> app_mj_;

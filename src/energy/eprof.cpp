@@ -7,9 +7,17 @@
 namespace eandroid::energy {
 
 void Eprof::on_slice(const EnergySlice& slice) {
-  bind_ids(slice.ids());
+  assert(ids_ == nullptr || ids_ == &slice.ids());
+  ids_ = &slice.ids();
   for (const kernelsim::AppIdx idx : slice.active()) {
-    fold_app(slice, idx);
+    const std::vector<kernelsim::RoutineIdx>& touched = slice.routines_at(idx);
+    if (touched.empty()) continue;
+    if (routines_.size() <= idx) routines_.resize(idx + 1);
+    std::vector<double>& row = routines_[idx];
+    for (const kernelsim::RoutineIdx r : touched) {
+      if (row.size() <= r) row.resize(r + 1, 0.0);
+      row[r] += slice.routine_mj_at(idx, r);
+    }
   }
 }
 

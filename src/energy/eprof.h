@@ -12,7 +12,6 @@
 // other app caused it.
 #pragma once
 
-#include <cassert>
 #include <string>
 #include <vector>
 
@@ -33,26 +32,6 @@ class Eprof : public AccountingSink {
       : packages_(packages) {}
 
   void on_slice(const EnergySlice& slice) override;
-
-  // --- Fused-pipeline folds (energy/pipeline.h) ---
-  // on_slice is exactly bind_ids + fold_app per active index; the
-  // pipeline issues the same calls from its single cell pass, so both
-  // paths run the identical additions in the identical order.
-  void bind_ids(const kernelsim::IdTable& ids) {
-    assert(ids_ == nullptr || ids_ == &ids);
-    ids_ = &ids;
-  }
-  /// Folds one active app's routine rows (no-op when it touched none).
-  void fold_app(const EnergySlice& slice, kernelsim::AppIdx idx) {
-    const std::vector<kernelsim::RoutineIdx>& touched = slice.routines_at(idx);
-    if (touched.empty()) return;
-    if (routines_.size() <= idx) routines_.resize(idx + 1);
-    std::vector<double>& row = routines_[idx];
-    for (const kernelsim::RoutineIdx r : touched) {
-      if (row.size() <= r) row.resize(r + 1, 0.0);
-      row[r] += slice.routine_mj_at(idx, r);
-    }
-  }
 
   /// Per-routine CPU energy of one app, largest first.
   [[nodiscard]] std::vector<RoutineEnergy> profile_of(

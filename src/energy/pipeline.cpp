@@ -1,7 +1,6 @@
 #include "energy/pipeline.h"
 
 #include "energy/battery_stats.h"
-#include "energy/eprof.h"
 #include "energy/power_tutor.h"
 
 namespace eandroid::energy {
@@ -19,7 +18,6 @@ MeteringPipeline::MeteringPipeline(obs::MetricsRegistry* metrics)
 void MeteringPipeline::run(const EnergySlice& slice) {
   if (battery_stats_ != nullptr) battery_stats_->bind_ids(slice.ids());
   if (power_tutor_ != nullptr) power_tutor_->bind_ids(slice.ids());
-  if (eprof_ != nullptr) eprof_->bind_ids(slice.ids());
 
   // Stage 1: settle per-slice state (window-structure rebuild, accumulator
   // pre-sizing) before any cell is read.
@@ -46,10 +44,10 @@ void MeteringPipeline::run(const EnergySlice& slice) {
     power_tutor_->fold_columns(cpu_col, camera_col, gps_col, wifi_col,
                                audio_col, view.cells);
   }
-  // The engine's per-app integration and eprof's routine rows are sparse
-  // (per-app vectors hang off each cell), so they keep the active-list
-  // walk: one load of each touched app's five parts feeds both.
-  if (direct_ != nullptr || eprof_ != nullptr) {
+  // The engine's per-app integration is sparse (routine rows hang off
+  // each cell), so it keeps the active-list walk: one load of each
+  // touched app's five parts.
+  if (direct_ != nullptr) {
     // The test-only fault seam (set_test_skip_part): loop-invariant, so
     // the disarmed case costs one hoisted compare per part.
     const int skip = test_skip_part_.load(std::memory_order_relaxed);
@@ -61,28 +59,24 @@ void MeteringPipeline::run(const EnergySlice& slice) {
       const double gps = skip == 2 ? 0.0 : gps_col[idx];
       const double wifi = skip == 3 ? 0.0 : wifi_col[idx];
       const double audio = skip == 4 ? 0.0 : audio_col[idx];
-      if (direct_ != nullptr) {
-        // Canonical part-order association, the same as slice.sum_at().
-        running_total += cpu + camera + gps + wifi + audio;
-        if (direct_->by_app.size() <= idx) direct_->by_app.resize(idx + 1);
-        AppSliceEnergy& acc = direct_->by_app[idx];
-        acc.cpu_mj += cpu;
-        acc.camera_mj += camera;
-        acc.gps_mj += gps;
-        acc.wifi_mj += wifi;
-        acc.audio_mj += audio;
-        for (const kernelsim::RoutineIdx r : slice.routines_at(idx)) {
-          acc.add_routine(r, slice.routine_mj_at(idx, r));
-        }
+      // Canonical part-order association, the same as slice.sum_at().
+      running_total += cpu + camera + gps + wifi + audio;
+      if (direct_->by_app.size() <= idx) direct_->by_app.resize(idx + 1);
+      AppSliceEnergy& acc = direct_->by_app[idx];
+      acc.cpu_mj += cpu;
+      acc.camera_mj += camera;
+      acc.gps_mj += gps;
+      acc.wifi_mj += wifi;
+      acc.audio_mj += audio;
+      for (const kernelsim::RoutineIdx r : slice.routines_at(idx)) {
+        acc.add_routine(r, slice.routine_mj_at(idx, r));
       }
-      if (eprof_ != nullptr) eprof_->fold_app(slice, idx);
     }
-    if (direct_ != nullptr) direct_->true_total_mj += running_total;
+    direct_->true_total_mj += running_total;
   }
 
-  // Stage 3: per-slice tails, in the sink era's registration order
-  // (engine first — its collateral trace marks precede the sampler's
-  // slice mark, exactly as when it was sink[0]).
+  // Stage 3: per-slice tails (engine first — its collateral trace marks
+  // precede the sampler's slice mark).
   if (engine_stage_ != nullptr) engine_stage_->fold_slice(slice);
   if (battery_stats_ != nullptr) battery_stats_->fold_tail(slice);
   if (power_tutor_ != nullptr) power_tutor_->fold_tail(slice);

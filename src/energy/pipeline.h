@@ -1,30 +1,21 @@
 // MeteringPipeline: the fused fold stage of the metering tick.
 //
-// The virtual-sink era had every profiler re-walk the sealed slice:
-// BatteryStats, PowerTutor, Eprof, and the E-Android engine each looped
-// over slice.active() and re-read the same five SoA cells behind their
-// own on_slice. The pipeline replaces that fan-out with ONE incremental
-// pass over the touched cells: the slice's touched view exposes the five
-// column base pointers (owned arrays, or the device's EnergySlab row in
-// the batched core — where a group's co-sharded slots are consecutive
-// rows of the same columns, so the group's same-instant ticks sweep the
-// slab contiguously). Accumulators that are themselves dense part
+// One incremental pass over the sealed slice's touched cells feeds every
+// built-in accumulator: the touched view exposes the slice's five SoA
+// column base pointers. Accumulators that are themselves dense part
 // columns (BatteryStats, PowerTutor) fold as straight-line column sweeps
 // over ALL cells — no gather, no per-cell branch, the shape the
 // vectorizer wants; sweeping past untouched cells is bit-safe because
-// they are exact +0.0 (see TouchedView). The sparse accumulators (the
-// engine's per-app integration with its routine rows, eprof) ride an
+// they are exact +0.0 (see TouchedView). The sparse accumulator (the
+// engine's per-app integration with its routine rows) rides an
 // active-list walk that loads each touched app's five parts once.
 //
-// Bit-identity contract: fusing changes which loop performs an addition,
-// never the additions themselves. Each accumulator receives the exact
-// operand sequence its on_slice issued, in the same order — per-part adds
-// in part order, apps ascending (seal()'s canonical order), and the
-// engine's battery ground truth as the same running sum total_mj()
-// computes (system+screen first, then apps ascending). Digests, trace
-// bytes, and engine reports are therefore bit-for-bit equal to the
-// retained virtual-sink path (DeviceSpec::fused_metering = false), which
-// the 8-way hot×core×pipeline equivalence matrix enforces.
+// Fold-order contract: every accumulator receives its operands in one
+// fixed order — per-part adds in part order, apps ascending (seal()'s
+// canonical order), and the engine's battery ground truth as the same
+// running sum total_mj() computes (system+screen first, then apps
+// ascending) — so digests, trace bytes and engine reports are bitwise
+// reproducible.
 #pragma once
 
 #include <atomic>
@@ -39,7 +30,6 @@ namespace eandroid::energy {
 
 class BatteryStats;
 class PowerTutor;
-class Eprof;
 
 /// Dense per-app direct-energy store: the E-Android engine's "original
 /// energy" accumulator, lifted into the energy layer so the fused cell
@@ -69,8 +59,7 @@ class SliceFoldStage {
  public:
   virtual ~SliceFoldStage() = default;
   /// Runs BEFORE the fused cell pass: rebuild window-derived structures,
-  /// pre-size accumulators — the work the sink era buried inside
-  /// on_slice, hoisted so the cell loop runs against settled state.
+  /// pre-size accumulators, so the cell loop runs against settled state.
   virtual void prepare_slice(const EnergySlice& slice) = 0;
   /// Runs AFTER the fused cell pass: the per-slice folds (collateral
   /// attribution, screen/system rows).
@@ -89,7 +78,6 @@ class MeteringPipeline {
   // --- Accumulator registration (all optional; null = stage skipped) ---
   void set_battery_stats(BatteryStats* bs) { battery_stats_ = bs; }
   void set_power_tutor(PowerTutor* pt) { power_tutor_ = pt; }
-  void set_eprof(Eprof* eprof) { eprof_ = eprof; }
   /// Engine registration: `direct` receives the fused per-cell fold (plus
   /// the running battery ground truth); `stage` brackets the cell pass
   /// with the window rebuild and the collateral fold. Pass both or
@@ -100,8 +88,8 @@ class MeteringPipeline {
   }
 
   /// One pass over the sealed slice: prepare stage, fused cell loop over
-  /// the touched view, then the per-slice tails in the sink era's
-  /// registration order (engine collateral, BatteryStats, PowerTutor).
+  /// the touched view, then the per-slice tails (engine collateral,
+  /// BatteryStats, PowerTutor).
   void run(const EnergySlice& slice);
 
   [[nodiscard]] std::uint64_t slices_folded() const { return folds_; }
@@ -109,9 +97,9 @@ class MeteringPipeline {
 
   /// TEST-ONLY fault seam: while `part` is in [0, 5), every pipeline's
   /// fused sparse fold treats that part column as zero in the engine's
-  /// direct store and battery ground truth — a deliberate equivalence bug
-  /// confined to the fused route, used to prove the scenario fuzzer's
-  /// fused-vs-virtual oracle catches and shrinks real divergences
+  /// direct store and battery ground truth — a deliberate one-column
+  /// metering slip, used to prove the scenario fuzzer's invariant oracle
+  /// catches and shrinks real accounting bugs
   /// (tests/fuzz/injected_bug_test.cpp). -1 (the default) disarms it.
   /// Process-global so the fault reaches pipelines constructed deep
   /// inside oracle legs; tests must restore -1 before passing.
@@ -127,7 +115,6 @@ class MeteringPipeline {
 
   BatteryStats* battery_stats_ = nullptr;
   PowerTutor* power_tutor_ = nullptr;
-  Eprof* eprof_ = nullptr;
   DirectStore* direct_ = nullptr;
   SliceFoldStage* engine_stage_ = nullptr;
 

@@ -5,15 +5,6 @@
 
 namespace eandroid::energy {
 
-void PowerTutor::on_slice(const EnergySlice& slice) {
-  bind_ids(slice.ids());
-  for (const kernelsim::AppIdx idx : slice.active()) {
-    fold_app(idx, slice.cpu_mj(idx), slice.camera_mj(idx),
-             slice.gps_mj(idx), slice.wifi_mj(idx), slice.audio_mj(idx));
-  }
-  fold_tail(slice);
-}
-
 void PowerTutor::fold_tail(const EnergySlice& slice) {
   // Screen policy: the foreground app pays. Kept in a small sorted-by-uid
   // vector; the insert is one-time per app, the steady state is a binary

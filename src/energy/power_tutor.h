@@ -17,37 +17,23 @@
 
 namespace eandroid::energy {
 
-class PowerTutor : public AccountingSink {
+/// Fed by the MeteringPipeline (energy/pipeline.h): bind_ids, then
+/// fold_columns and fold_tail once per slice.
+class PowerTutor {
  public:
   explicit PowerTutor(const framework::PackageManager& packages)
       : packages_(packages) {}
 
-  void on_slice(const EnergySlice& slice) override;
-
-  // --- Fused-pipeline folds (energy/pipeline.h) ---
-  // on_slice is exactly bind_ids + fold_app per active index + fold_tail;
-  // the pipeline issues the same calls from its single cell pass, so both
-  // paths run the identical additions in the identical order.
   void bind_ids(const kernelsim::IdTable& ids) {
     assert(ids_ == nullptr || ids_ == &ids);
     ids_ = &ids;
   }
-  /// Folds one active app's five part cells, in part order.
-  void fold_app(kernelsim::AppIdx idx, double cpu_mj, double camera_mj,
-                double gps_mj, double wifi_mj, double audio_mj) {
-    ensure(idx + 1);
-    cpu_[idx] += cpu_mj;
-    camera_[idx] += camera_mj;
-    gps_[idx] += gps_mj;
-    wifi_[idx] += wifi_mj;
-    audio_[idx] += audio_mj;
-  }
   /// Dense column fold over all `n` cells of a sealed slice's part
   /// columns (EnergySlice::TouchedView): five independent accumulator
-  /// sweeps, one per part. Bit-identical to fold_app over the active list
-  /// — each touched cell receives exactly the same single add, untouched
-  /// cells add an exact +0.0 into accumulators that never hold -0.0, and
-  /// cells are disjoint so the cross-app interleaving cannot matter.
+  /// sweeps, one per part. Each touched cell receives exactly one add,
+  /// untouched cells add an exact +0.0 into accumulators that never hold
+  /// -0.0, and cells are disjoint so the cross-app interleaving cannot
+  /// matter.
   void fold_columns(const double* cpu, const double* camera,
                     const double* gps, const double* wifi,
                     const double* audio, std::size_t n) {
@@ -94,12 +80,12 @@ class PowerTutor : public AccountingSink {
   }
 
   const framework::PackageManager& packages_;
-  /// Identifier table shared by every slice this sink has seen; bound on
-  /// the first slice (all slices fed to one sink must share a table).
+  /// Identifier table shared by every slice folded here; bound on the
+  /// first slice (all slices must share a table).
   const kernelsim::IdTable* ids_ = nullptr;
   /// Direct (non-screen) energy as structure-of-arrays part columns,
-  /// dense by AppIdx — the same layout as the slice, so the fused
-  /// pipeline folds slice columns into these with straight-line loops.
+  /// dense by AppIdx — the same layout as the slice, so the pipeline
+  /// folds slice columns into these with straight-line loops.
   std::vector<double> cpu_, camera_, gps_, wifi_, audio_;
   /// Screen energy billed by the foreground policy; sorted ascending by
   /// uid (the foreground app may never appear in the interner, so this

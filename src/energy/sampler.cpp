@@ -21,11 +21,10 @@ const char* to_string(HwPart part) {
 }
 
 EnergySampler::EnergySampler(framework::SystemServer& server,
-                             sim::Duration period, bool reuse_buffers)
+                             sim::Duration period)
     : server_(server),
       period_(period),
       window_begin_(server.simulator().now()),
-      reuse_buffers_(reuse_buffers),
       params_(server.params()),
       model_(params_),
       slice_(server.ids()),
@@ -60,18 +59,6 @@ void EnergySampler::gather(sim::TimePoint now, double window_s) {
   // P[mW] * t[s] = E[mJ].
   auto mj_of = [window_s](double mw) { return mw * window_s; };
 
-  if (!reuse_buffers_) {
-    // Baseline mode: pay the pre-optimization churn — every buffer is
-    // rebuilt from scratch each tick. The arithmetic below is identical
-    // either way, so both modes produce bit-identical slices. Slab-backed
-    // cells persist across slices, so the outgoing slice must zero them
-    // before the fresh one re-binds the same rows; fresh owned buffers
-    // start at zero for free.
-    if (slab_ != nullptr) slice_.reset(window_begin_, now);
-    slice_ = EnergySlice(server_.ids());
-    if (slab_ != nullptr) slice_.bind_slab(slab_, slab_slot_);
-    breakdown_ = hw::PowerBreakdown{};
-  }
   slice_.reset(window_begin_, now);
   window_begin_ = now;
 
@@ -130,11 +117,8 @@ void EnergySampler::gather(sim::TimePoint now, double window_s) {
 }
 
 void EnergySampler::fold() {
-  // Fused first: one cell pass feeds every registered accumulator. The
-  // virtual chain then serves whatever stayed unfused — in the all-virtual
-  // configuration that is the whole profiler set, and the two routes run
-  // the identical additions in the identical order (see
-  // energy/pipeline.h).
+  // Fused first: one cell pass feeds every built-in accumulator; the
+  // external observers then see the same sealed slice.
   if (pipeline_ != nullptr) pipeline_->run(slice_);
   for (AccountingSink* sink : sinks_) sink->on_slice(slice_);
 }

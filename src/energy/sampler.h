@@ -10,20 +10,16 @@
 //
 // The tick runs in three stages: GATHER integrates component power into
 // the persistent slice, SEAL fixes the canonical cell-iteration order,
-// and FOLD feeds the accumulators — through the fused MeteringPipeline
-// when one is attached (set_pipeline), then through the virtual sink
-// chain (add_sink) for anything unfused (timeline recorders, detectors,
-// test sinks). Both fold routes produce bit-identical results; the
-// virtual route is the retained equivalence baseline.
+// and FOLD feeds the accumulators — the built-in profilers through the
+// fused MeteringPipeline (set_pipeline), then any external observers
+// registered with add_sink (Eprof, timeline recorders, detectors, test
+// sinks).
 //
 // The tick is allocation-free in steady state: ONE EnergySlice lives for
 // the whole run and is reset (not reallocated) per window, component
 // breakdowns land in a reused buffer, and the per-tick constants (power
 // params, CPU power model, the observability recorder/registry pointers)
-// are hoisted out of the loop. Setting `reuse_buffers = false` rebuilds
-// every buffer from scratch each tick — the pre-optimization cost
-// structure — with bit-identical arithmetic, which is how the hotpath
-// bench measures before/after in one binary.
+// are hoisted out of the loop.
 #pragma once
 
 #include <cstdint>
@@ -42,29 +38,19 @@ class MeteringPipeline;
 class EnergySampler {
  public:
   EnergySampler(framework::SystemServer& server,
-                sim::Duration period = sim::millis(250),
-                bool reuse_buffers = true);
+                sim::Duration period = sim::millis(250));
   ~EnergySampler();
 
   EnergySampler(const EnergySampler&) = delete;
   EnergySampler& operator=(const EnergySampler&) = delete;
 
-  /// Registers an unfused sink. With a pipeline attached these run AFTER
-  /// the fused fold, in registration order — the same relative order the
-  /// all-virtual era gave sinks registered after the profilers.
+  /// Registers an external observer. Sinks run AFTER the pipeline, in
+  /// registration order.
   void add_sink(AccountingSink* sink) { sinks_.push_back(sink); }
 
   /// Attaches the fused fold stage (null detaches). The pipeline runs
-  /// first in FOLD, replacing the profilers' virtual on_slice walks.
+  /// first in FOLD.
   void set_pipeline(MeteringPipeline* pipeline) { pipeline_ = pipeline; }
-
-  /// Routes the metering slice's per-app cells into a shard-shared
-  /// EnergySlab (batched fleet core). Call before the first tick.
-  void bind_slab(EnergySlab* slab, std::uint32_t slot) {
-    slab_ = slab;
-    slab_slot_ = slot;
-    slice_.bind_slab(slab, slot);
-  }
 
   /// Starts the periodic loop on the simulator.
   void start();
@@ -75,7 +61,6 @@ class EnergySampler {
   void flush();
 
   [[nodiscard]] std::uint64_t slices_emitted() const { return slices_; }
-  [[nodiscard]] bool reuse_buffers() const { return reuse_buffers_; }
 
   // --- Per-stage wall-clock accounting (bench instrumentation) ---------
   // Off by default: the tick takes zero clock reads. The hotpath bench
@@ -85,7 +70,7 @@ class EnergySampler {
   void enable_stage_timing(bool on) { stage_timing_ = on; }
   struct StageNanos {
     std::uint64_t gather_ns = 0;  ///< gather + seal + battery flow
-    std::uint64_t fold_ns = 0;    ///< pipeline run + virtual sink chain
+    std::uint64_t fold_ns = 0;    ///< pipeline run + external sinks
     std::uint64_t ticks = 0;      ///< ticks measured while timing was on
   };
   [[nodiscard]] StageNanos stage_nanos() const { return stage_nanos_; }
@@ -96,7 +81,7 @@ class EnergySampler {
   /// GATHER: integrates CPU, session components, and screen state over
   /// the closed window into the persistent slice.
   void gather(sim::TimePoint now, double window_s);
-  /// FOLD: fused pipeline first (when attached), then the virtual chain.
+  /// FOLD: fused pipeline first (when attached), then the sinks.
   void fold();
 
   framework::SystemServer& server_;
@@ -106,7 +91,6 @@ class EnergySampler {
   std::function<void()> stopper_;
   sim::TimePoint window_begin_;
   std::uint64_t slices_ = 0;
-  bool reuse_buffers_;
 
   /// Hoisted per-tick constants: the params never change mid-run and the
   /// model is a pure function of them.
@@ -116,9 +100,6 @@ class EnergySampler {
   /// Persistent metering buffers (reset per tick, never reallocated).
   EnergySlice slice_;
   hw::PowerBreakdown breakdown_;
-  /// Slab binding, kept so the !reuse_buffers_ rebuild re-binds too.
-  EnergySlab* slab_ = nullptr;
-  std::uint32_t slab_slot_ = 0;
 
   /// Cached observability sinks (attached before construction, constant
   /// for the device's life) plus pre-interned/registered ids — the tick's

@@ -10,20 +10,16 @@
 // Storage is structure-of-arrays: the five per-app part columns (cpu,
 // camera, gps, wifi, audio) are flat double arrays indexed by interned
 // AppIdx (kernel/interner.h), with an active-app list for O(active)
-// iteration and reset. A standalone slice owns its columns; a slice bound
-// to an EnergySlab (bind_slab, the batched fleet core) addresses its
-// device row inside the shard-shared slab instead — same cells, same
-// arithmetic, contiguous across co-sharded devices. The eprof-style
-// routine breakdown stays per-slice (it is sparse and per-device).
-// Sinks iterate active() — ascending index order after seal(), which
-// pins the canonical floating-point summation order everywhere.
+// iteration and reset. The eprof-style routine breakdown is sparse and
+// kept per app. Sinks iterate active() — ascending index order after
+// seal(), which pins the canonical floating-point summation order
+// everywhere.
 #pragma once
 
 #include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "energy/slab.h"
 #include "kernel/interner.h"
 #include "kernel/types.h"
 #include "sim/check.h"
@@ -74,6 +70,10 @@ struct AppSliceEnergy {
 
 class EnergySlice {
  public:
+  /// The five per-app hardware parts: cpu, camera, gps, wifi, audio
+  /// (screen is policy, not a per-app cell).
+  static constexpr int kParts = 5;
+
   /// Standalone slice owning a private identifier table (tests, tools).
   EnergySlice()
       : owned_(std::make_shared<kernelsim::IdTable>()), ids_(owned_.get()) {}
@@ -118,14 +118,6 @@ class EnergySlice {
     return -1;
   }
 
-  /// Routes this slice's per-app cells into a shard-shared slab (batched
-  /// fleet core). Must happen before any cell is touched.
-  void bind_slab(EnergySlab* slab, std::uint32_t slot) {
-    EANDROID_CHECK(active_.empty(), "bind_slab on a slice with live cells");
-    slab_ = slab;
-    slab_slot_ = slot;
-  }
-
   // --- Per-app cells, write side (touch-tracking) ---
   /// Cell for `uid`, interning it on first sight.
   double& part(kernelsim::Uid uid, HwPart p) {
@@ -134,7 +126,7 @@ class EnergySlice {
   /// Cell for an already-interned app (the metering hot path).
   double& part_at(kernelsim::AppIdx idx, HwPart p) {
     touch(idx);
-    return cell(col_of(p), idx);
+    return cols_[col_of(p)][idx];
   }
   /// Adds to an app's routine breakdown (touches the app).
   void add_routine_at(kernelsim::AppIdx idx, kernelsim::RoutineIdx r,
@@ -149,19 +141,19 @@ class EnergySlice {
 
   // --- Per-app cells, read side (active apps only) ---
   [[nodiscard]] double cpu_mj(kernelsim::AppIdx idx) const {
-    return cell(0, idx);
+    return cols_[0][idx];
   }
   [[nodiscard]] double camera_mj(kernelsim::AppIdx idx) const {
-    return cell(1, idx);
+    return cols_[1][idx];
   }
   [[nodiscard]] double gps_mj(kernelsim::AppIdx idx) const {
-    return cell(2, idx);
+    return cols_[2][idx];
   }
   [[nodiscard]] double wifi_mj(kernelsim::AppIdx idx) const {
-    return cell(3, idx);
+    return cols_[3][idx];
   }
   [[nodiscard]] double audio_mj(kernelsim::AppIdx idx) const {
-    return cell(4, idx);
+    return cols_[4][idx];
   }
   /// Canonical part-order sum — the summation order every sink and the
   /// old AoS cell used, so totals stay bit-identical.
@@ -190,10 +182,9 @@ class EnergySlice {
   }
 
   /// Touched-delta view: the active list plus the five SoA column base
-  /// pointers, hoisting the per-access slab branch out of fused fold
-  /// loops (energy/pipeline.h). Take it only AFTER seal(): growth (a
-  /// first-seen app) re-carves slab columns and reallocates owned ones,
-  /// invalidating the pointers. Part order matches col_of().
+  /// pointers the fused fold loops sweep (energy/pipeline.h). Take it
+  /// only AFTER seal(): growth (a first-seen app) reallocates the
+  /// columns, invalidating the pointers. Part order matches col_of().
   ///
   /// `cells` is the dense length of each column (cells idx = 0..cells-1).
   /// Every cell outside the active list is an exact +0.0 — reset() zeroes
@@ -204,18 +195,14 @@ class EnergySlice {
   /// loops instead of gathers.
   struct TouchedView {
     const std::vector<kernelsim::AppIdx>* active = nullptr;
-    const double* parts[EnergySlab::kParts] = {};
+    const double* parts[kParts] = {};
     std::size_t cells = 0;
   };
   [[nodiscard]] TouchedView touched_view() const {
     TouchedView view;
     view.active = &active_;
-    for (int col = 0; col < EnergySlab::kParts; ++col) {
-      view.parts[col] = slab_ != nullptr ? slab_->row(col, slab_slot_)
-                                         : own_[col].data();
-    }
-    view.cells =
-        slab_ != nullptr ? slab_->app_capacity() : own_[0].size();
+    for (int col = 0; col < kParts; ++col) view.parts[col] = cols_[col].data();
+    view.cells = cols_[0].size();
     return view;
   }
 
@@ -236,7 +223,7 @@ class EnergySlice {
     screen_forced_by_wakelock = false;
     screen_wakelock_owners.clear();
     for (const kernelsim::AppIdx idx : active_) {
-      for (int col = 0; col < EnergySlab::kParts; ++col) cell(col, idx) = 0.0;
+      for (auto& col : cols_) col[idx] = 0.0;
       RoutineCells& rc = routines_[idx];
       for (const kernelsim::RoutineIdx r : rc.touched) rc.mj[r] = 0.0;
       rc.touched.clear();
@@ -269,24 +256,13 @@ class EnergySlice {
     std::vector<kernelsim::RoutineIdx> touched;
   };
 
-  double& cell(int col, kernelsim::AppIdx idx) {
-    if (slab_ != nullptr) return *slab_->cell_ptr(col, slab_slot_, idx);
-    return own_[col][idx];
-  }
-  [[nodiscard]] double cell(int col, kernelsim::AppIdx idx) const {
-    if (slab_ != nullptr) return *slab_->cell_ptr(col, slab_slot_, idx);
-    return own_[col][idx];
-  }
-
   void touch(kernelsim::AppIdx idx) {
     if (in_slice_.size() <= idx) {
       in_slice_.resize(idx + 1, 0);
       routines_.resize(idx + 1);
     }
-    if (slab_ != nullptr) {
-      slab_->ensure_app_capacity(idx + 1);
-    } else if (own_[0].size() <= idx) {
-      for (auto& col : own_) col.resize(idx + 1, 0.0);
+    if (cols_[0].size() <= idx) {
+      for (auto& col : cols_) col.resize(idx + 1, 0.0);
     }
     if (!in_slice_[idx]) {
       in_slice_[idx] = 1;
@@ -296,16 +272,16 @@ class EnergySlice {
 
   std::shared_ptr<kernelsim::IdTable> owned_;  // standalone slices only
   kernelsim::IdTable* ids_;
-  /// Owned SoA columns (standalone / baseline mode), dense by AppIdx.
-  std::vector<double> own_[EnergySlab::kParts];
-  EnergySlab* slab_ = nullptr;  // slab-backed mode (batched fleet)
-  std::uint32_t slab_slot_ = 0;
+  /// SoA part columns, dense by AppIdx.
+  std::vector<double> cols_[kParts];
   std::vector<RoutineCells> routines_;  // dense by AppIdx
   std::vector<std::uint8_t> in_slice_;  // cell touched this slice?
   std::vector<kernelsim::AppIdx> active_;
 };
 
-/// A profiler that consumes slices (BatteryStats, PowerTutor, E-Android).
+/// An observer that consumes whole slices through EnergySampler::add_sink
+/// (Eprof, the timeline, the power-signature detector). The built-in
+/// profilers fold through the MeteringPipeline instead.
 class AccountingSink {
  public:
   virtual ~AccountingSink() = default;

@@ -1,5 +1,5 @@
-// ParallelRunner: fan N independent simulation jobs across a thread pool
-// and collect their results in submission order.
+// ParallelRunner: fan N independent simulation jobs across a
+// WorkStealingExecutor and collect their results in submission order.
 //
 // The contract each job must satisfy (see DESIGN.md §exp):
 //   * self-contained — it builds its own Testbed (or corpus slice, or any
@@ -15,31 +15,20 @@
 // only the worker it happens to run on.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <future>
-#include <type_traits>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "exp/thread_pool.h"
+#include "exp/work_stealing.h"
 
 namespace eandroid::exp {
 
 struct RunnerOptions {
   /// Worker count; 0 means std::thread::hardware_concurrency().
   unsigned threads = 0;
-  /// Jobs per submitted block. The default (1) keeps the original
-  /// one-future-per-job shape, which any Result type supports. A larger
-  /// chunk batches that many jobs behind ONE pool submission — thousands
-  /// of small per-device jobs stop paying a promise/future/closure
-  /// allocation each, the same fan-out economics as the work-stealing
-  /// executor's submit_bulk. Chunked results land in a pre-built vector,
-  /// so Result must be default-constructible; other Result types fall
-  /// back to the per-job path silently.
-  std::size_t chunk = 1;
 };
 
 template <typename Result>
@@ -49,29 +38,30 @@ class ParallelRunner {
 
   explicit ParallelRunner(RunnerOptions options = {}) : options_(options) {}
 
-  /// Runs every job on a fresh pool; results come back indexed exactly
-  /// like `jobs`. If jobs throw, the earliest-submitted exception is
-  /// rethrown — but only after every job has finished, so no job is ever
-  /// abandoned mid-simulation.
+  /// Runs every job on a fresh executor, one submission per job; results
+  /// come back indexed exactly like `jobs`. If jobs throw, the
+  /// lowest-index exception is rethrown — but only after every job has
+  /// finished, so no job is ever abandoned mid-simulation.
   std::vector<Result> run(std::vector<Job> jobs) {
-    if constexpr (std::is_default_constructible_v<Result>) {
-      if (options_.chunk > 1) return run_chunked(std::move(jobs));
-    }
-    ThreadPool pool(options_.threads);
-    std::vector<std::future<Result>> futures;
-    futures.reserve(jobs.size());
-    for (auto& job : jobs) futures.push_back(pool.submit(std::move(job)));
-    std::vector<Result> results;
-    results.reserve(futures.size());
-    std::exception_ptr first_error;
-    for (auto& future : futures) {
-      try {
-        results.push_back(future.get());
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
+    Batch batch{std::move(jobs), {}, {}};
+    batch.results.resize(batch.jobs.size());
+    batch.errors.resize(batch.jobs.size());
+    {
+      WorkStealingExecutor executor(options_.threads);
+      for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
+        // {Batch*, index} fits std::function's small-buffer storage.
+        executor.submit([&batch, i] { batch.run(i); });
       }
+      executor.wait_idle();
     }
-    if (first_error) std::rethrow_exception(first_error);
+    for (const std::exception_ptr& error : batch.errors) {
+      if (error) std::rethrow_exception(error);
+    }
+    std::vector<Result> results;
+    results.reserve(batch.results.size());
+    for (std::optional<Result>& result : batch.results) {
+      results.push_back(std::move(*result));
+    }
     return results;
   }
 
@@ -85,40 +75,26 @@ class ParallelRunner {
   }
 
  private:
-  /// Blocks of `chunk` jobs behind one future each. Per-job exception
-  /// capture keeps the contract intact: a throwing job never abandons its
-  /// block-mates, and the earliest-submitted (lowest-index) exception is
-  /// the one rethrown, exactly like the per-job path.
-  std::vector<Result> run_chunked(std::vector<Job> jobs) {
-    std::vector<Result> results(jobs.size());
-    std::vector<std::exception_ptr> errors(jobs.size());
-    ThreadPool pool(options_.threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(jobs.size() / options_.chunk + 1);
-    for (std::size_t base = 0; base < jobs.size(); base += options_.chunk) {
-      const std::size_t end = std::min(jobs.size(), base + options_.chunk);
-      futures.push_back(pool.submit([&jobs, &results, &errors, base, end] {
-        for (std::size_t i = base; i < end; ++i) {
-          try {
-            results[i] = jobs[i]();
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
-        }
-      }));
+  /// Per-job result and exception slots; job i writes only slot i.
+  struct Batch {
+    std::vector<Job> jobs;
+    std::vector<std::optional<Result>> results;
+    std::vector<std::exception_ptr> errors;
+
+    void run(std::size_t i) {
+      try {
+        results[i].emplace(jobs[i]());
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-    for (auto& future : futures) future.get();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-    return results;
-  }
+  };
 
   RunnerOptions options_;
 };
 
-/// Fans `job(0) .. job(n-1)` out across the pool; the common "one job per
-/// seed / per scenario index" shape.
+/// Fans `job(0) .. job(n-1)` out across the executor; the common "one job
+/// per seed / per scenario index" shape.
 template <typename Result>
 std::vector<Result> run_indexed(std::size_t n,
                                 std::function<Result(std::size_t)> job,

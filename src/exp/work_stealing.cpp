@@ -108,8 +108,11 @@ std::size_t TaskDeque::approx_size() const {
 // --- WorkStealingExecutor --------------------------------------------------
 
 namespace {
-/// Worker index for the current thread, or -1 on non-worker threads.
-/// File-scope so submit() can route to the calling worker's own deque.
+/// The executor the current thread works for and its worker index there
+/// (null / -1 on other threads). Keyed by executor, because a task of one
+/// executor may drive another as its driver thread — a ParallelRunner job
+/// that runs a Fleet does exactly that.
+thread_local const WorkStealingExecutor* t_executor = nullptr;
 thread_local int t_worker_index = -1;
 
 std::uint64_t xorshift(std::uint64_t& state) {
@@ -148,10 +151,14 @@ WorkStealingExecutor::~WorkStealingExecutor() {
   }
 }
 
+int WorkStealingExecutor::own_worker_index() const {
+  return t_executor == this ? t_worker_index : -1;
+}
+
 void WorkStealingExecutor::submit(Task task) {
   auto* heap_task = new Task(std::move(task));
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  const int index = t_worker_index;
+  const int index = own_worker_index();
   if (index >= 0) {
     // Worker self-submission (a device task re-queueing its next grain):
     // the owner's deque, no lock. Wake a parked thief if there is one —
@@ -169,7 +176,7 @@ void WorkStealingExecutor::submit(Task task) {
 
 void WorkStealingExecutor::submit_bulk(std::vector<Task> tasks) {
   if (tasks.empty()) return;
-  EANDROID_CHECK(t_worker_index < 0,
+  EANDROID_CHECK(own_worker_index() < 0,
                  "submit_bulk must be called from the driver thread");
   pending_.fetch_add(static_cast<std::int64_t>(tasks.size()),
                      std::memory_order_acq_rel);
@@ -259,6 +266,7 @@ void WorkStealingExecutor::run_task(Task* task) {
 }
 
 void WorkStealingExecutor::worker_loop(unsigned index) {
+  t_executor = this;
   t_worker_index = static_cast<int>(index);
   Worker& w = *workers_[index];
   for (;;) {
@@ -296,11 +304,10 @@ void WorkStealingExecutor::worker_loop(unsigned index) {
     parked_.fetch_sub(1, std::memory_order_relaxed);
     if (stop_) return;
   }
-  t_worker_index = -1;
 }
 
 void WorkStealingExecutor::wait_idle() {
-  EANDROID_CHECK(t_worker_index < 0,
+  EANDROID_CHECK(own_worker_index() < 0,
                  "wait_idle must be called from the driver thread");
   std::unique_lock<std::mutex> lock(idle_mu_);
   idle_cv_.wait(lock, [this] {

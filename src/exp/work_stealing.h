@@ -1,10 +1,7 @@
-// WorkStealingExecutor: the fleet's event-driven scheduler substrate.
-//
-// The ThreadPool next door is deliberately dumb — one mutex-guarded FIFO,
-// one future per task — which is the right shape for a handful of
-// whole-simulation jobs and the wrong shape for tens of thousands of
-// small per-device advance tasks. This executor is the other end of the
-// trade:
+// WorkStealingExecutor: the thread substrate of the fleet scheduler and
+// of exp::ParallelRunner. It is built for tens of thousands of small
+// per-device advance tasks, and serves a handful of whole-simulation
+// jobs just as well:
 //
 //   * each worker owns a chase-lev deque (Chase & Lev, SPAA'05, with the
 //     C11-model orderings of Lê et al., PPoPP'13): the owner pushes and
@@ -13,10 +10,9 @@
 //     itself after an advance grain) lands on that worker's own deque —
 //     the LIFO hot path — and stays stealable by everyone else.
 //   * driver-side submissions go to a shared injection queue. Bulk
-//     submission appends the whole batch under ONE lock — this is the
-//     chunked fan-out path exp::ParallelRunner's chunk mode shares — and
-//     an idle worker refills by moving up to HALF of the injection queue
-//     into its own deque in one acquisition (steal-half), so a thousand
+//     submission appends the whole batch under ONE lock, and an idle
+//     worker refills by moving up to HALF of the injection queue into
+//     its own deque in one acquisition (steal-half), so a thousand
 //     device tasks cost a handful of lock operations, not a thousand.
 //   * workers that find every deque empty park on a condition variable
 //     and are unparked by the next submission; an idle executor burns no
@@ -116,9 +112,10 @@ class WorkStealingExecutor {
     return static_cast<unsigned>(threads_.size());
   }
 
-  /// Enqueues one task. From a worker thread this lands on the calling
-  /// worker's own deque (no lock); from any other thread it goes to the
-  /// injection queue.
+  /// Enqueues one task. From one of this executor's workers this lands on
+  /// the calling worker's own deque (no lock); from any other thread —
+  /// including another executor's worker — it goes to the injection
+  /// queue.
   void submit(Task task);
 
   /// Enqueues a batch under a single injection-queue lock. The batch is
@@ -150,6 +147,8 @@ class WorkStealingExecutor {
   };
 
   void worker_loop(unsigned index);
+  /// The calling thread's worker index in THIS executor, or -1.
+  [[nodiscard]] int own_worker_index() const;
   /// Finds the next task for worker `w`: own deque, then a steal-half
   /// refill from the injection queue, then stealing from victims.
   Task* find_task(Worker& w);

@@ -41,40 +41,20 @@ shared_default_engine_config() {
 
 DeviceContext::DeviceContext(DeviceSpec spec)
     : spec_(with_defaults(std::move(spec))),
-      sim_(spec_.seed, spec_.time_wheel),
+      sim_(spec_.seed),
       server_(sim_, spec_.params, spec_.obs),
-      sampler_(server_, spec_.sample_period, spec_.hot_path),
+      sampler_(server_, spec_.sample_period),
       battery_stats_(server_.packages()),
-      power_tutor_(server_.packages()) {
-  if (spec_.energy_slab != nullptr) {
-    sampler_.bind_slab(spec_.energy_slab, spec_.slab_slot);
-  }
+      power_tutor_(server_.packages()),
+      pipeline_(sim_.metrics()) {
   if (spec_.with_eandroid) {
-    core::EngineConfig config = *spec_.engine_config;
-    if (!spec_.hot_path) config.cache_window_structures = false;
     eandroid_ = std::make_unique<core::EAndroid>(
-        server_, spec_.eandroid_mode, config, spec_.arena);
+        server_, spec_.eandroid_mode, *spec_.engine_config);
+    eandroid_->engine().attach_to(pipeline_);
   }
-  if (spec_.fused_metering) {
-    // Fused route: one pipeline pass replaces the profilers' virtual
-    // on_slice walks. Registration mirrors the virtual sink order
-    // (engine, BatteryStats, PowerTutor) so traces and arithmetic stay
-    // bit-identical. A framework-only engine drops slices on the virtual
-    // route, so it simply isn't registered here.
-    pipeline_ = std::make_unique<energy::MeteringPipeline>(sim_.metrics());
-    if (eandroid_ != nullptr &&
-        eandroid_->engine().config().accounting_enabled) {
-      pipeline_->set_engine(&eandroid_->engine().direct_store(),
-                            &eandroid_->engine());
-    }
-    pipeline_->set_battery_stats(&battery_stats_);
-    pipeline_->set_power_tutor(&power_tutor_);
-    sampler_.set_pipeline(pipeline_.get());
-  } else {
-    if (eandroid_ != nullptr) sampler_.add_sink(eandroid_.get());
-    sampler_.add_sink(&battery_stats_);
-    sampler_.add_sink(&power_tutor_);
-  }
+  pipeline_.set_battery_stats(&battery_stats_);
+  pipeline_.set_power_tutor(&power_tutor_);
+  sampler_.set_pipeline(&pipeline_);
   if (spec_.install_plan != nullptr) spec_.install_plan->apply(server_);
 }
 

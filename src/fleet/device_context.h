@@ -8,10 +8,9 @@
 // fields, so a fleet's devices alias one PowerParams / Manifest set /
 // EngineConfig instead of copying them per device.
 //
-// Lockstep protocol (fleet/fleet.h): between epochs the driver thread may
-// touch the device (inject events, read state); within an epoch exactly
-// one worker advances it via advance_to(). The device itself has no
-// locks — the epoch barrier is the synchronization.
+// Threading (fleet/fleet.h): exactly one thread touches a device at a
+// time — a worker task advancing it via advance_to(), or the driver
+// thread between fleet runs. The device itself has no locks.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +61,8 @@ class DeviceContext {
     sampler_.flush();
   }
 
-  /// Lockstep epoch step: advances to an absolute instant WITHOUT closing
-  /// the sample window, so epoch boundaries leave no trace in the energy
+  /// Causal-window step: advances to an absolute instant WITHOUT closing
+  /// the sample window, so window boundaries leave no trace in the energy
   /// arithmetic (digests are independent of the fleet's epoch length).
   void advance_to(sim::TimePoint until) { sim_.run_until(until); }
 
@@ -89,11 +88,7 @@ class DeviceContext {
     return battery_stats_;
   }
   [[nodiscard]] energy::PowerTutor& power_tutor() { return power_tutor_; }
-  /// Null when the spec selected the virtual-sink metering route
-  /// (fused_metering=false).
-  [[nodiscard]] energy::MeteringPipeline* pipeline() {
-    return pipeline_.get();
-  }
+  [[nodiscard]] energy::MeteringPipeline& pipeline() { return pipeline_; }
   /// Null when constructed with with_eandroid=false (stock Android).
   [[nodiscard]] core::EAndroid* eandroid() { return eandroid_.get(); }
   [[nodiscard]] const core::EAndroid* eandroid() const {
@@ -130,7 +125,7 @@ class DeviceContext {
   /// profilers hold, plus the device-level rows, battery ground truth,
   /// tracker counters, and push deliveries. Two runs of the same spec and
   /// workload are observably identical iff their digests are equal — the
-  /// fleet's shard-independence tests compare these strings bitwise.
+  /// fleet's differential tests compare these strings bitwise.
   [[nodiscard]] std::string energy_digest();
 
   /// Frozen accounting snapshot (requires E-Android; checked error
@@ -189,11 +184,8 @@ class DeviceContext {
   energy::EnergySampler sampler_;
   energy::BatteryStats battery_stats_;
   energy::PowerTutor power_tutor_;
+  energy::MeteringPipeline pipeline_;
   std::unique_ptr<core::EAndroid> eandroid_;
-  /// Fused metering stage; constructed (with its two obs counters) only
-  /// when the spec asks for it, so virtual-route devices register the
-  /// exact pre-pipeline metric set.
-  std::unique_ptr<energy::MeteringPipeline> pipeline_;
 
   // Prepared-send registry (see section above): campaign index -> slot,
   // and the slots themselves.

@@ -1,11 +1,11 @@
 // DeviceSpec: the complete, explicit recipe for one simulated device.
 //
 // A device's observable behaviour is a pure function of its spec: the
-// seed drives every random draw, the options select the metering shape,
-// and the shared pointers name the immutable configuration the device
-// aliases. That purity is the fleet's determinism contract — two devices
-// built from equal specs produce bitwise-identical results no matter
-// which thread advances them or how the fleet is sharded.
+// seed drives every random draw, the options select the E-Android mode
+// and sampling period, and the shared pointers name the immutable
+// configuration the device aliases. That purity is the fleet's
+// determinism contract — two devices built from equal specs produce
+// bitwise-identical results no matter which thread advances them.
 //
 // The shared_ptr<const> fields are the memory contract: PowerParams,
 // Manifests (inside the InstallPlan), and EngineConfig exist ONCE per
@@ -21,15 +21,6 @@
 #include "obs/obs.h"
 #include "sim/time.h"
 
-namespace eandroid::sim {
-class TimeWheel;
-class MonotonicArena;
-}  // namespace eandroid::sim
-
-namespace eandroid::energy {
-class EnergySlab;
-}  // namespace eandroid::energy
-
 namespace eandroid::fleet {
 
 class InstallPlan;
@@ -44,16 +35,6 @@ struct DeviceSpec {
   bool with_eandroid = true;
   core::Mode eandroid_mode = core::Mode::kComplete;
   sim::Duration sample_period = sim::millis(250);
-  /// False selects the pre-optimization metering shape (fresh buffers per
-  /// tick, no window-structure caches) — bit-identical results, used as
-  /// the baseline leg of equivalence tests and benches.
-  bool hot_path = true;
-  /// True folds every profiler through the fused MeteringPipeline (one
-  /// pass over the slice's touched cells); false keeps the per-sink
-  /// virtual on_slice walks. Orthogonal to hot_path, bit-identical
-  /// results either way — the virtual route is the retained equivalence
-  /// baseline (energy/pipeline.h).
-  bool fused_metering = true;
 
   /// Observability knob. The options are tiny value config (copied per
   /// device); the TraceRecorder/MetricsRegistry they describe are
@@ -61,24 +42,6 @@ struct DeviceSpec {
   /// enabling it does not move a bit of any energy digest (the recorder
   /// interns names into a private table, not the server's IdTable).
   obs::ObsOptions obs{};
-
-  // --- Batched-core wiring (FleetOptions::core = kBatched) ---------------
-  // All four default to null/zero: a standalone device (or a baseline
-  // fleet) owns its event queue and energy buffers as before. A batched
-  // fleet points every co-sharded device at the shard group's shared
-  // structures; the group must outlive the device.
-
-  /// Non-null binds the device's simulator to this shared wheel: events
-  /// are filed group-wide and the device advances only through
-  /// TimeWheel::run_until (Simulator::run_until becomes a checked error).
-  sim::TimeWheel* time_wheel = nullptr;
-  /// Non-null binds the sampler's slice to row `slab_slot` of this
-  /// structure-of-arrays energy store.
-  energy::EnergySlab* energy_slab = nullptr;
-  std::uint32_t slab_slot = 0;
-  /// Non-null backs the E-Android engine's per-slice scratch (and, via
-  /// obs.arena, the trace ring) with the group's monotonic arena.
-  sim::MonotonicArena* arena = nullptr;
 
   /// Null = hw::shared_nexus4_params().
   std::shared_ptr<const hw::PowerParams> params;

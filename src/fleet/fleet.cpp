@@ -1,7 +1,6 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #include "obs/trace.h"
@@ -14,158 +13,30 @@ FleetOptions normalized(FleetOptions options) {
   EANDROID_CHECK(options.device_count >= 1,
                  "Fleet needs at least one device, got "
                      << options.device_count);
-  EANDROID_CHECK(options.shards >= 1,
-                 "Fleet needs at least one shard, got " << options.shards);
   EANDROID_CHECK(options.epoch > sim::Duration(0),
                  "Fleet epoch must be positive");
   EANDROID_CHECK(options.max_resident_devices >= 0,
                  "max_resident_devices must be >= 0");
-  EANDROID_CHECK(options.max_resident_devices == 0 ||
-                     options.scheduler == Scheduler::kWorkStealing,
-                 "hibernation (max_resident_devices > 0) requires the "
-                 "work-stealing scheduler");
   EANDROID_CHECK(options.advance_grain_windows >= 1,
                  "advance_grain_windows must be >= 1");
-  EANDROID_CHECK(options.batch_group_size >= 0,
-                 "batch_group_size must be >= 0 (0 = one group per shard)");
-  EANDROID_CHECK(options.core == FleetCore::kBaseline ||
-                     options.max_resident_devices == 0,
-                 "the batched core is incompatible with hibernation: "
-                 "parking destroys DeviceContexts whose wheel attachment "
-                 "and slab row live for the shard group's lifetime");
-  options.shards = std::min(options.shards, options.device_count);
-  if (options.workers == 0) {
-    options.workers = static_cast<unsigned>(options.shards);
-  }
   if (options.params == nullptr) options.params = hw::shared_nexus4_params();
   if (options.engine_config == nullptr) {
     options.engine_config = shared_default_engine_config();
   }
   return options;
 }
-}  // namespace
 
-Fleet::Fleet(FleetOptions options) : options_(normalized(std::move(options))) {
-  if (options_.scheduler == Scheduler::kLockstep) {
-    pool_ = std::make_unique<exp::ThreadPool>(
-        static_cast<unsigned>(options_.shards));
-  } else {
-    exec_ = std::make_unique<exp::WorkStealingExecutor>(options_.workers);
-  }
-  slots_.resize(static_cast<std::size_t>(options_.device_count));
-  if (batched()) {
-    // Shard groups first: make_spec points each device at its group's
-    // wheel/slab/arena, so the groups must exist before any device does.
-    // Membership is round-robin (device i -> group i % group_count),
-    // with group_count at least the shard count so each lockstep pool
-    // job / work-stealing task still touches exactly one group, but
-    // usually finer: batch_group_size caps how many devices interleave
-    // through one wheel (see the FleetOptions field comment).
-    std::size_t group_count = static_cast<std::size_t>(options_.shards);
-    if (options_.batch_group_size > 0) {
-      const auto per = static_cast<std::size_t>(options_.batch_group_size);
-      group_count =
-          std::max(group_count, (slots_.size() + per - 1) / per);
-    }
-    group_count = std::min(group_count, slots_.size());
-    groups_.reserve(group_count);
-    for (std::size_t s = 0; s < group_count; ++s) {
-      auto group = std::make_unique<CoreGroup>();
-      group->wheel = std::make_unique<sim::TimeWheel>();
-      for (std::size_t i = s; i < slots_.size(); i += group_count) {
-        group->members.push_back(i);
-      }
-      group->slab = std::make_unique<energy::EnergySlab>(
-          static_cast<std::uint32_t>(group->members.size()), group->arena);
-      groups_.push_back(std::move(group));
-    }
-  }
-  if (!hibernating()) {
-    // Eager population: every device exists for the fleet's lifetime, the
-    // shape the lockstep baseline always had. Hibernating fleets build
-    // devices lazily — finish() materializes each exactly once.
-    for (int i = 0; i < options_.device_count; ++i) {
-      slots_[static_cast<std::size_t>(i)].ctx =
-          std::make_unique<DeviceContext>(make_spec(i));
-    }
-  }
-}
-
-Fleet::~Fleet() = default;
-
-DeviceSpec Fleet::make_spec(int i) const {
-  DeviceSpec spec;
-  spec.seed = options_.base_seed +
-              static_cast<std::uint64_t>(i) * options_.seed_stride;
-  spec.device_index = i;
-  spec.with_eandroid = options_.with_eandroid;
-  spec.eandroid_mode = options_.eandroid_mode;
-  spec.sample_period = options_.sample_period;
-  spec.hot_path = options_.hot_path;
-  spec.fused_metering = options_.fused_metering;
-  spec.obs = options_.obs;
-  spec.params = options_.params;
-  spec.engine_config = options_.engine_config;
-  spec.install_plan = options_.install_plan;
-  if (!groups_.empty()) {
-    const auto n = static_cast<std::size_t>(i);
-    CoreGroup& group = *groups_[n % groups_.size()];
-    spec.time_wheel = group.wheel.get();
-    spec.energy_slab = group.slab.get();
-    spec.slab_slot = static_cast<std::uint32_t>(n / groups_.size());
-    spec.arena = &group.arena;
-    spec.obs.arena = &group.arena;
-  }
-  return spec;
-}
-
-template <typename Fn>
-void Fleet::for_each_device_sharded(Fn&& fn) {
-  const int shards = options_.shards;
-  std::vector<std::future<void>> done;
-  done.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    done.push_back(pool_->submit([this, s, shards, &fn] {
-      for (std::size_t i = static_cast<std::size_t>(s); i < slots_.size();
-           i += static_cast<std::size_t>(shards)) {
-        fn(*slots_[i].ctx, static_cast<int>(i));
-      }
-    }));
-  }
-  // The barrier: rethrows the first shard failure on the driver thread.
-  for (std::future<void>& f : done) f.get();
-}
-
-template <typename Fn>
-void Fleet::for_each_slot_async(Fn&& fn) {
-  std::vector<exp::WorkStealingExecutor::Task> tasks;
-  tasks.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    tasks.push_back([&fn, i] { fn(i); });
-  }
-  exec_->submit_bulk(std::move(tasks));
-  // The aggregation cut: the ONLY cross-device barrier in async mode.
-  exec_->wait_idle();
-}
-
-template <typename Fn>
-void Fleet::for_each_group_async(Fn&& fn) {
-  std::vector<exp::WorkStealingExecutor::Task> tasks;
-  tasks.reserve(groups_.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    tasks.push_back([&fn, g] { fn(g); });
-  }
-  exec_->submit_bulk(std::move(tasks));
-  exec_->wait_idle();
-}
-
-void Fleet::inject_device(DeviceContext& device, int index,
-                          sim::TimePoint begin, sim::TimePoint end) {
-  const std::uint64_t sends = broker_.inject(device, index, begin, end);
+/// One device's per-window injection: broker sends + the fleet.epoch /
+/// fleet.push_inject trace marks and pushes_injected metric. The fleet
+/// and the serial reference share it, so the observable per-device
+/// sequence is identical in both.
+void inject_device(DeviceContext& device, int index, PushBroker& broker,
+                   sim::TimePoint begin, sim::TimePoint end) {
+  const std::uint64_t sends = broker.inject(device, index, begin, end);
   // The trace marks (window boundary, sends injected) depend only on
-  // device_index and the window boundaries — never on sharding, the
-  // scheduler, or the core — so traced fleets keep the bitwise
-  // invariance contract across all of them.
+  // device_index and the window boundaries — never on the worker that
+  // runs the device — so traced fleets keep the bitwise invariance
+  // contract.
   [[maybe_unused]] obs::TraceRecorder* tr = device.obs().trace();
   EANDROID_TRACE_LIT(tr, begin.micros(), obs::TraceCategory::kFleet,
                      "fleet.epoch", -1, end.micros());
@@ -177,14 +48,66 @@ void Fleet::inject_device(DeviceContext& device, int index,
       m->add(m->counter("fleet.pushes_injected"), sends);
   }
 }
+}  // namespace
+
+DeviceSpec device_spec(const FleetOptions& options, int index) {
+  DeviceSpec spec;
+  spec.seed = options.base_seed +
+              static_cast<std::uint64_t>(index) * options.seed_stride;
+  spec.device_index = index;
+  spec.with_eandroid = options.with_eandroid;
+  spec.eandroid_mode = options.eandroid_mode;
+  spec.sample_period = options.sample_period;
+  spec.obs = options.obs;
+  spec.params = options.params;
+  spec.engine_config = options.engine_config;
+  spec.install_plan = options.install_plan;
+  return spec;
+}
+
+void run_serially(DeviceContext& device, int index, PushBroker& broker,
+                  sim::Duration total, sim::Duration epoch) {
+  const sim::TimePoint end = device.sim().now() + total;
+  for (sim::TimePoint begin = device.sim().now(); begin < end;) {
+    const sim::TimePoint window_end = std::min(end, begin + epoch);
+    inject_device(device, index, broker, begin, window_end);
+    device.advance_to(window_end);
+    begin = window_end;
+  }
+}
+
+Fleet::Fleet(FleetOptions options)
+    : options_(normalized(std::move(options))),
+      slots_(static_cast<std::size_t>(options_.device_count)),
+      exec_(options_.workers) {
+  if (!hibernating()) {
+    // Eager population: every device exists for the fleet's lifetime.
+    // Hibernating fleets build devices lazily — finish() materializes
+    // each exactly once.
+    for (int i = 0; i < options_.device_count; ++i) {
+      slots_[static_cast<std::size_t>(i)].ctx =
+          std::make_unique<DeviceContext>(device_spec(options_, i));
+    }
+  }
+}
+
+Fleet::~Fleet() = default;
+
+template <typename Fn>
+void Fleet::for_each_slot(Fn&& fn) {
+  std::vector<exp::WorkStealingExecutor::Task> tasks;
+  tasks.reserve(slots_.size());
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    tasks.push_back([&fn, i] { fn(i); });
+  }
+  exec_.submit_bulk(std::move(tasks));
+  // The aggregation cut: the ONLY cross-device barrier.
+  exec_.wait_idle();
+}
 
 void Fleet::start() {
   EANDROID_CHECK(!started_, "Fleet::start called twice");
   started_ = true;
-  if (options_.scheduler == Scheduler::kLockstep) {
-    for_each_device_sharded([](DeviceContext& device, int) { device.start(); });
-    return;
-  }
   // Workers read the campaign list concurrently from here on.
   broker_.freeze();
   if (hibernating()) {
@@ -198,18 +121,7 @@ void Fleet::start() {
     }
     return;
   }
-  if (batched()) {
-    // Boot is group-serial: starting a device schedules events on the
-    // group's shared wheel, so the task granularity must be the group.
-    for_each_group_async([this](std::size_t g) {
-      for (const std::size_t i : groups_[g]->members) {
-        slots_[i].ctx->start();
-        slots_[i].booted = true;
-      }
-    });
-    return;
-  }
-  for_each_slot_async([this](std::size_t i) {
+  for_each_slot([this](std::size_t i) {
     slots_[i].ctx->start();
     slots_[i].booted = true;
   });
@@ -244,7 +156,7 @@ void Fleet::advance_windows(DeviceContext& device, int index,
         continue;
       }
     }
-    inject_device(device, index, begin, end);
+    inject_device(device, index, broker_, begin, end);
     device.advance_to(end);
     windows_advanced_.fetch_add(1, std::memory_order_relaxed);
     ++w;
@@ -261,64 +173,18 @@ void Fleet::advance_task(std::size_t i, std::size_t target) {
   if (stop < target) {
     // Requeue on the worker's own deque (LIFO, stealable): the device
     // keeps running ahead unless a thief rebalances it away.
-    exec_->submit([this, i, target] { advance_task(i, target); });
+    exec_.submit([this, i, target] { advance_task(i, target); });
   }
 }
 
 void Fleet::run_for(sim::Duration total) {
   EANDROID_CHECK(started_, "Fleet::run_for before start()");
   EANDROID_CHECK(!finished_, "Fleet::run_for after finish()");
-  const std::size_t first_new = windows_.size();
   const sim::TimePoint end = clock_ + total;
   while (clock_ < end) {
     const sim::TimePoint window_end = std::min(end, clock_ + options_.epoch);
     windows_.push_back(window_end);
     clock_ = window_end;
-  }
-  if (options_.scheduler == Scheduler::kLockstep) {
-    // The retained baseline: inject/advance/barrier per window.
-    for (std::size_t w = first_new; w < windows_.size(); ++w) {
-      const sim::TimePoint begin = window_begin(w);
-      const sim::TimePoint window_end = windows_[w];
-      // 1. Injection: devices are quiescent; cross-device events land on
-      //    each device's own queue, on the driver thread. The trace marks
-      //    (window boundary, sends injected) depend only on device_index
-      //    and the window boundaries — never on sharding — so traced
-      //    fleets keep the bitwise shard-invariance contract.
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        inject_device(*slots_[i].ctx, static_cast<int>(i), begin,
-                      window_end);
-      }
-      // 2+3. Advance every shard to the window end, then barrier. On the
-      // batched core a shard's devices share one wheel, so the pool job
-      // advances the group structure instead of devices one by one.
-      if (batched()) {
-        // One pool job per shard, each walking its deal of groups — not
-        // one per group: with small batch groups that would be thousands
-        // of future-backed submissions per window.
-        const auto shards = static_cast<std::size_t>(options_.shards);
-        std::vector<std::future<void>> done;
-        done.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s) {
-          done.push_back(pool_->submit([this, s, shards, window_end] {
-            for (std::size_t g = s; g < groups_.size(); g += shards) {
-              groups_[g]->wheel->run_until(window_end);
-            }
-          }));
-        }
-        for (std::future<void>& f : done) f.get();
-      } else {
-        for_each_device_sharded([window_end](DeviceContext& device, int) {
-          device.advance_to(window_end);
-        });
-      }
-      windows_advanced_.fetch_add(slots_.size(), std::memory_order_relaxed);
-    }
-    for (DeviceSlot& slot : slots_) slot.next_window = windows_.size();
-    for (const std::unique_ptr<CoreGroup>& group : groups_) {
-      group->next_window = windows_.size();
-    }
-    return;
   }
   if (hibernating()) {
     // Lazy: windows recorded, devices untouched — except pinned ones,
@@ -330,98 +196,18 @@ void Fleet::run_for(sim::Duration total) {
     }
     return;
   }
-  // Work-stealing dispatch: one task per device (baseline) or per shard
-  // group (batched — group structures are single-owner); each walks its
-  // charge through the new windows in grains, requeueing until caught
-  // up. No per-window barrier — the wait inside is the aggregation cut.
+  // One task per device walks it through the new windows in grains,
+  // requeueing until caught up. No per-window barrier — the wait inside
+  // is the aggregation cut.
   const std::size_t target = windows_.size();
-  if (batched()) {
-    for_each_group_async([this, target](std::size_t g) {
-      advance_group_task(g, target);
-    });
-    return;
-  }
-  for_each_slot_async([this, target](std::size_t i) {
-    advance_task(i, target);
-  });
-}
-
-void Fleet::advance_group_windows(std::size_t g, std::size_t w_begin,
-                                  std::size_t w_end) {
-  if (w_begin >= w_end) return;
-  CoreGroup& group = *groups_[g];
-  const std::size_t members = group.members.size();
-  std::size_t w = w_begin;
-  while (w < w_end) {
-    if (!options_.obs.trace) {
-      // Group-level consolidation: fold a maximal run of windows where
-      // NO member may receive a send into one wheel advance. For each
-      // member this is the same identity the per-device fold relies on
-      // (splitting run_until where nothing is injected); the group
-      // merely requires it to hold for every member at once.
-      std::size_t run = w;
-      while (run < w_end) {
-        bool sendless = true;
-        for (const std::size_t i : group.members) {
-          if (broker_.may_send_in(static_cast<int>(i), window_begin(run),
-                                  windows_[run])) {
-            sendless = false;
-            break;
-          }
-        }
-        if (!sendless) break;
-        ++run;
-      }
-      if (run > w) {
-        group.wheel->run_until(windows_[run - 1]);
-        windows_advanced_.fetch_add((run - w) * members,
-                                    std::memory_order_relaxed);
-        windows_consolidated_.fetch_add((run - w - 1) * members,
-                                        std::memory_order_relaxed);
-        w = run;
-        continue;
-      }
-    }
-    const sim::TimePoint begin = window_begin(w);
-    const sim::TimePoint end = windows_[w];
-    for (const std::size_t i : group.members) {
-      inject_device(*slots_[i].ctx, static_cast<int>(i), begin, end);
-    }
-    group.wheel->run_until(end);
-    windows_advanced_.fetch_add(members, std::memory_order_relaxed);
-    ++w;
-  }
-}
-
-void Fleet::advance_group_task(std::size_t g, std::size_t target) {
-  CoreGroup& group = *groups_[g];
-  const std::size_t stop =
-      std::min(target, group.next_window +
-                           static_cast<std::size_t>(
-                               options_.advance_grain_windows));
-  advance_group_windows(g, group.next_window, stop);
-  group.next_window = stop;
-  for (const std::size_t i : group.members) {
-    slots_[i].next_window = stop;
-  }
-  if (stop < target) {
-    // Requeue on the worker's own deque, like advance_task. The two
-    // indices are packed into one word so the closure stays inside
-    // std::function's small-buffer optimisation.
-    const std::uint64_t packed =
-        (static_cast<std::uint64_t>(g) << 32) |
-        static_cast<std::uint64_t>(target);
-    exec_->submit([this, packed] {
-      advance_group_task(static_cast<std::size_t>(packed >> 32),
-                         static_cast<std::size_t>(packed & 0xffffffffu));
-    });
-  }
+  for_each_slot([this, target](std::size_t i) { advance_task(i, target); });
 }
 
 void Fleet::materialize(DeviceSlot& slot, std::size_t i) {
   if (slot.ctx == nullptr) {
     if (slot.has_snap) restores_.fetch_add(1, std::memory_order_relaxed);
-    slot.ctx = std::make_unique<DeviceContext>(make_spec(static_cast<int>(i)));
+    slot.ctx = std::make_unique<DeviceContext>(
+        device_spec(options_, static_cast<int>(i)));
     slot.next_window = 0;
     slot.booted = false;
     slot.flushed = false;
@@ -476,48 +262,23 @@ void Fleet::hibernate_task(std::size_t i) {
 }
 
 void Fleet::finish() {
-  if (options_.scheduler == Scheduler::kLockstep) {
-    for_each_device_sharded(
-        [](DeviceContext& device, int) { device.finish(); });
-    finished_ = true;
-    return;
-  }
   if (hibernating()) {
     EANDROID_CHECK(!finished_, "Fleet::finish called twice");
     // The materialization pass: every device runs its whole timeline in
     // one visit — construct, boot, windows, flush, snapshot, park. Peak
     // residency is the LRU cap plus the devices in flight on workers.
-    for_each_slot_async([this](std::size_t i) { hibernate_task(i); });
-    finished_ = true;
-    return;
-  }
-  if (batched()) {
-    // Flush is group-serial: closing the final sample window writes the
-    // group's shared energy slab (and may grow its columns).
-    for_each_group_async([this](std::size_t g) {
-      for (const std::size_t i : groups_[g]->members) {
-        slots_[i].ctx->finish();
-        slots_[i].flushed = true;
-      }
+    for_each_slot([this](std::size_t i) { hibernate_task(i); });
+  } else {
+    for_each_slot([this](std::size_t i) {
+      slots_[i].ctx->finish();
+      slots_[i].flushed = true;
     });
-    finished_ = true;
-    return;
   }
-  for_each_slot_async([this](std::size_t i) {
-    slots_[i].ctx->finish();
-    slots_[i].flushed = true;
-  });
   finished_ = true;
 }
 
 std::vector<std::string> Fleet::energy_digests() {
   std::vector<std::string> digests(slots_.size());
-  if (options_.scheduler == Scheduler::kLockstep) {
-    for_each_device_sharded([&digests](DeviceContext& device, int i) {
-      digests[static_cast<std::size_t>(i)] = device.energy_digest();
-    });
-    return digests;
-  }
   if (hibernating()) {
     EANDROID_CHECK(finished_,
                    "energy_digests on a hibernating fleet requires finish() "
@@ -532,7 +293,7 @@ std::vector<std::string> Fleet::energy_digests() {
     }
     return digests;
   }
-  for_each_slot_async([this, &digests](std::size_t i) {
+  for_each_slot([this, &digests](std::size_t i) {
     digests[i] = slots_[i].ctx->energy_digest();
   });
   return digests;
@@ -577,33 +338,11 @@ obs::MetricsSnapshot Fleet::scheduler_metrics() const {
       {"fleet.hib.snapshot_bytes",
        snapshot_bytes_.load(std::memory_order_relaxed)},
   };
-  if (exec_ != nullptr) {
-    const exp::WorkStealingExecutor::Stats s = exec_->stats();
-    counters.emplace_back("fleet.sched.tasks_executed", s.executed);
-    counters.emplace_back("fleet.sched.steals", s.steals);
-    counters.emplace_back("fleet.sched.injection_refills",
-                          s.injection_refills);
-    counters.emplace_back("fleet.sched.parks", s.parks);
-  }
-  if (!groups_.empty()) {
-    std::uint64_t cascades = 0;
-    std::uint64_t occupancy_peak = 0;
-    std::uint64_t arena_high_water = 0;
-    std::uint64_t slab_bytes = 0;
-    for (const std::unique_ptr<CoreGroup>& group : groups_) {
-      cascades += group->wheel->cascades();
-      occupancy_peak = std::max<std::uint64_t>(occupancy_peak,
-                                               group->wheel->max_live());
-      arena_high_water += group->arena.high_water_bytes();
-      slab_bytes += group->slab->bytes();
-    }
-    counters.emplace_back("fleet.core.wheel_cascades", cascades);
-    counters.emplace_back("fleet.core.wheel_occupancy_peak", occupancy_peak);
-    counters.emplace_back("fleet.core.arena_high_water_bytes",
-                          arena_high_water);
-    counters.emplace_back("fleet.core.slab_bytes_per_device",
-                          slab_bytes / slots_.size());
-  }
+  const exp::WorkStealingExecutor::Stats s = exec_.stats();
+  counters.emplace_back("fleet.sched.tasks_executed", s.executed);
+  counters.emplace_back("fleet.sched.steals", s.steals);
+  counters.emplace_back("fleet.sched.injection_refills", s.injection_refills);
+  counters.emplace_back("fleet.sched.parks", s.parks);
   return obs::MetricsSnapshot::of_counters(std::move(counters));
 }
 

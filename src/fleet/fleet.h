@@ -1,4 +1,4 @@
-// Fleet: N simulated devices advanced by one of two schedulers.
+// Fleet: N simulated devices advanced by a work-stealing executor.
 //
 // The multi-device layer the one-phone testbed grew into. A fleet builds
 // N DeviceContexts from one FleetOptions — every device aliases the SAME
@@ -7,31 +7,21 @@
 // simulation state only — and advances them through a shared timeline of
 // causal windows: the instants where cross-device work (PushBroker
 // injection) or fleet-wide reads (aggregation cuts) may occur. Every
-// run_for call appends windows at `epoch` granularity; how devices move
-// through them is the scheduler's business:
+// run_for call appends windows at `epoch` granularity.
 //
-//   * kLockstep (default, the retained baseline): per window, the driver
-//     injects every device, then one ThreadPool job per shard advances
-//     its devices to the window end, then the driver joins — a barrier
-//     per window. Simple, and the differential anchor for everything
-//     below.
+// Scheduling: one task per device on a WorkStealingExecutor. Each task
+// walks ITS device through the pending windows — inject, mark, advance —
+// in grains of advance_grain_windows, requeueing itself on the worker's
+// own deque until caught up. Devices run ahead of each other freely; the
+// only barrier is the wait_idle() at the end of run_for (the aggregation
+// cut). With tracing off a task also CONSOLIDATES runs of sendless
+// windows into a single run_until (splitting run_until where nothing is
+// injected is an identity), so idle devices cross long stretches in one
+// hop.
 //
-//   * kWorkStealing: one task per device on a WorkStealingExecutor. Each
-//     task walks ITS device through the pending windows — inject, mark,
-//     advance — in grains of advance_grain_windows, requeueing itself on
-//     the worker's own deque until caught up. Devices run ahead of each
-//     other freely; the only barrier is the wait_idle() at the end of
-//     run_for (the aggregation cut). Because injection content is a pure
-//     function of (campaigns, device_index, window) and devices share no
-//     mutable state, the per-device event stream — and therefore every
-//     digest and trace byte — is identical to lockstep. With tracing off
-//     a task also CONSOLIDATES runs of sendless windows into a single
-//     run_until (splitting run_until where nothing is injected is an
-//     identity), so idle devices cross long stretches in one hop.
-//
-// Hibernation (kWorkStealing + max_resident_devices > 0): run_for only
-// appends windows, and finish() materializes each device exactly once —
-// construct, boot, replay its full window timeline, flush, snapshot to a
+// Hibernation (max_resident_devices > 0): run_for only appends windows,
+// and finish() materializes each device exactly once — construct, boot,
+// replay its full window timeline, flush, snapshot to a
 // fleet/hibernation.h DeviceSnapshot, and park it, keeping at most
 // max_resident_devices live in an LRU working set. RSS is then bounded
 // by the working set + in-flight workers instead of the population size.
@@ -41,10 +31,11 @@
 //
 // Determinism: a device's event stream is a pure function of its spec
 // and the campaigns — injection content depends only on (device_index,
-// window boundaries), never on sharding, stealing, or eviction — so
-// per-device digests are bitwise identical across shard counts, worker
-// counts, schedulers, eviction schedules, and repeated runs. The
-// differential suites in tests/fleet/ pin exactly that.
+// window boundaries), never on worker count, stealing, or eviction — so
+// per-device digests and trace bytes are bitwise identical to the serial
+// reference (run_serially below) across worker counts, grains, eviction
+// schedules, and repeated runs. The differential suites in tests/fleet/
+// pin exactly that.
 #pragma once
 
 #include <atomic>
@@ -55,35 +46,17 @@
 #include <string>
 #include <vector>
 
-#include "energy/slab.h"
-#include "exp/thread_pool.h"
 #include "exp/work_stealing.h"
 #include "fleet/device_context.h"
 #include "fleet/hibernation.h"
 #include "fleet/push_broker.h"
 #include "obs/metrics.h"
-#include "sim/arena.h"
-#include "sim/time_wheel.h"
 
 namespace eandroid::fleet {
 
 /// How the fleet moves devices through the causal-window timeline.
 enum class Scheduler {
-  kLockstep,      ///< inject/advance/barrier per window (baseline)
   kWorkStealing,  ///< per-device tasks on a work-stealing executor
-};
-
-/// How a shard's devices store and dispatch their simulation state.
-enum class FleetCore {
-  /// One 4-ary event heap and one set of heap-allocated energy buffers
-  /// per device — the retained baseline and differential anchor.
-  kBaseline,
-  /// Co-sharded devices share one hierarchical TimeWheel (events fire
-  /// across the group in (when, device, seq) order), one SoA EnergySlab
-  /// (per-app cells in contiguous columns), and one MonotonicArena
-  /// (engine scratch + trace rings). A pure data-layout change: digests
-  /// and trace bytes are bit-identical to kBaseline (DESIGN.md §12).
-  kBatched,
 };
 
 struct FleetOptions {
@@ -94,59 +67,34 @@ struct FleetOptions {
   std::uint64_t base_seed = 1;
   std::uint64_t seed_stride = 1;
 
-  /// Scheduler selection. Purely a throughput/memory knob: digests and
-  /// trace bytes are identical across schedulers.
-  Scheduler scheduler = Scheduler::kLockstep;
-  /// Simulation-core selection (orthogonal to the scheduler): kBatched
-  /// fuses each shard's devices onto shared wheel/slab/arena structures.
-  /// Also purely a throughput/memory knob — digests and trace bytes are
-  /// identical across cores. Incompatible with hibernation (parking
-  /// destroys devices, whose wheel/slab rows live for the group's
-  /// lifetime).
-  FleetCore core = FleetCore::kBaseline;
-
-  /// Lockstep worker shards; devices are dealt round-robin (device i ->
-  /// shard i % shards). Results never depend on this.
-  int shards = 1;
-  /// Batched-core devices per shared wheel/slab/arena group: the fleet
-  /// carves at least ceil(device_count / batch_group_size) groups, never
-  /// fewer than `shards` (0 = exactly one group per shard). A group
-  /// advances through a window event-by-event in (when, device, seq)
-  /// order, so every same-instant event interleaves its members' working
-  /// sets — small groups keep that interleave inside cache, which
-  /// measures far faster than shard-sized groups (DESIGN.md §12).
-  /// Results never depend on this.
-  int batch_group_size = 4;
-  /// Work-stealing worker threads; 0 means `shards` (so flipping the
-  /// scheduler flag alone compares equal thread budgets).
+  /// Does nothing: work stealing is the only scheduler. Kept so callers
+  /// that name it explicitly keep compiling.
+  Scheduler scheduler = Scheduler::kWorkStealing;
+  /// Worker threads; 0 means std::thread::hardware_concurrency(). Results
+  /// never depend on this.
   unsigned workers = 0;
-  /// Hibernation working-set cap (kWorkStealing only): maximum finished
-  /// DeviceContexts kept live; 0 disables hibernation entirely. With a
-  /// cap, run_for defers all advancement to finish() so each device
-  /// materializes once (see file comment).
+  /// Hibernation working-set cap: maximum finished DeviceContexts kept
+  /// live; 0 disables hibernation entirely. With a cap, run_for defers
+  /// all advancement to finish() so each device materializes once (see
+  /// file comment).
   int max_resident_devices = 0;
-  /// Causal windows a work-stealing task advances before requeueing
-  /// itself — the fairness/steal granularity.
+  /// Causal windows a device task advances before requeueing itself —
+  /// the fairness/steal granularity.
   int advance_grain_windows = 8;
 
-  /// Causal-window length: the granularity of cross-device injection
-  /// (the lockstep epoch).
+  /// Causal-window length: the granularity of cross-device injection.
   sim::Duration epoch = sim::seconds(1);
 
   // Per-device knobs, identical across the fleet.
   bool with_eandroid = true;
   core::Mode eandroid_mode = core::Mode::kComplete;
   sim::Duration sample_period = sim::millis(250);
-  bool hot_path = true;
-  /// Fused MeteringPipeline vs virtual sink chain (DeviceSpec::
-  /// fused_metering); bit-identical digests and traces either way.
-  bool fused_metering = true;
   /// Per-device observability (each device gets its OWN recorder and
   /// registry; only the options are fleet-wide). With tracing on, the
   /// fleet marks window boundaries and push injections on every device's
   /// trace — both depend only on (device_index, window boundaries), so
-  /// trace bytes stay invariant across shard counts AND schedulers
-  /// (tracing disables window consolidation).
+  /// trace bytes stay invariant across worker counts (tracing disables
+  /// window consolidation).
   obs::ObsOptions obs{};
 
   // Shared immutable configuration (one object per fleet). Null params /
@@ -178,9 +126,9 @@ class Fleet {
   [[nodiscard]] PushBroker& broker() { return broker_; }
   [[nodiscard]] sim::TimePoint now() const { return clock_; }
 
-  /// Boots every device and starts its sampler. In work-stealing modes
-  /// this also freezes the broker (workers read campaigns concurrently).
-  /// Call once, before run_for.
+  /// Boots every device and starts its sampler. This also freezes the
+  /// broker (workers read campaigns concurrently). Call once, before
+  /// run_for.
   void start();
 
   /// Advances the whole fleet by `total`, appending causal windows at
@@ -235,54 +183,21 @@ class Fleet {
     DeviceSnapshot snap;
   };
 
-  /// One shard's shared simulation core (kBatched only): the arena the
-  /// slab columns, trace rings, and engine scratch are carved from, the
-  /// group time wheel, the SoA energy slab, and the member device
-  /// indices. Exactly one worker advances a group at a time — the same
-  /// single-owner discipline DeviceContext has — so no locks.
-  struct CoreGroup {
-    sim::MonotonicArena arena;
-    std::unique_ptr<sim::TimeWheel> wheel;
-    std::unique_ptr<energy::EnergySlab> slab;
-    std::vector<std::size_t> members;
-    /// Causal windows fully applied to the whole group.
-    std::size_t next_window = 0;
-  };
-
   [[nodiscard]] bool hibernating() const {
     return options_.max_resident_devices > 0;
   }
-  [[nodiscard]] bool batched() const {
-    return options_.core == FleetCore::kBatched;
-  }
-  [[nodiscard]] DeviceSpec make_spec(int i) const;
   [[nodiscard]] sim::TimePoint window_begin(std::size_t w) const {
     return w == 0 ? sim::TimePoint{} : windows_[w - 1];
   }
 
   /// Walks one device through windows [w_begin, w_end): inject, mark,
-  /// advance — the per-device sequence both schedulers share. With
-  /// tracing off, folds runs of sendless windows into one run_until.
+  /// advance. With tracing off, folds runs of sendless windows into one
+  /// run_until.
   void advance_windows(DeviceContext& device, int index, std::size_t w_begin,
                        std::size_t w_end);
-  /// Work-stealing grain: advance slot i up to `target`, requeue if not
+  /// One task grain: advance slot i up to `target`, requeue if not
   /// caught up.
   void advance_task(std::size_t i, std::size_t target);
-  /// One device's per-window injection: broker sends + the fleet.epoch /
-  /// fleet.push_inject trace marks and pushes_injected metric. Shared by
-  /// every scheduler × core path so the observable per-device sequence
-  /// is identical everywhere.
-  void inject_device(DeviceContext& device, int index, sim::TimePoint begin,
-                     sim::TimePoint end);
-  /// Batched analogue of advance_windows: walks shard group g through
-  /// windows [w_begin, w_end) — inject every member, then advance the
-  /// group wheel to the window end. With tracing off, folds runs of
-  /// windows where NO member may receive a send into one wheel run.
-  void advance_group_windows(std::size_t g, std::size_t w_begin,
-                             std::size_t w_end);
-  /// Work-stealing grain for a batched shard group: advance group g up to
-  /// `target` windows, requeue if not caught up.
-  void advance_group_task(std::size_t g, std::size_t target);
   /// Hibernating finish pass for slot i: materialize, run the full
   /// timeline, flush, snapshot, park (LRU) or stay pinned.
   void hibernate_task(std::size_t i);
@@ -293,30 +208,15 @@ class Fleet {
   /// Destroys a parked context and resets its replay position.
   void evict(DeviceSlot& slot);
 
-  /// Runs `fn(device, index)` for every device, one lockstep pool job
-  /// per shard, and joins (the lockstep barrier).
+  /// Runs `fn(i)` for every slot as one executor task each, and waits
+  /// idle (the aggregation cut).
   template <typename Fn>
-  void for_each_device_sharded(Fn&& fn);
-  /// Runs `fn(i)` for every slot as one bulk-submitted executor task
-  /// each, and waits idle (the work-stealing aggregation cut).
-  template <typename Fn>
-  void for_each_slot_async(Fn&& fn);
-  /// Runs `fn(g)` for every shard group as one executor task each, and
-  /// waits idle. Batched work-stealing paths use this instead of
-  /// for_each_slot_async: group structures are single-owner, so the task
-  /// granularity must be the group, never the device.
-  template <typename Fn>
-  void for_each_group_async(Fn&& fn);
+  void for_each_slot(Fn&& fn);
 
   FleetOptions options_;
-  /// Batched-core shard groups (empty on kBaseline). Declared before
-  /// slots_ so devices — which hold pointers into their group's wheel,
-  /// slab, and arena — are destroyed first.
-  std::vector<std::unique_ptr<CoreGroup>> groups_;
   std::vector<DeviceSlot> slots_;
   PushBroker broker_;
-  std::unique_ptr<exp::ThreadPool> pool_;            // lockstep only
-  std::unique_ptr<exp::WorkStealingExecutor> exec_;  // work-stealing only
+  exp::WorkStealingExecutor exec_;
   /// Causal-window end boundaries, fleet-lifetime. windows_[w] closes
   /// window w; window_begin(w) opens it.
   std::vector<sim::TimePoint> windows_;
@@ -337,5 +237,17 @@ class Fleet {
   std::atomic<std::uint64_t> restores_{0};
   std::atomic<std::uint64_t> snapshot_bytes_{0};
 };
+
+/// The DeviceSpec a Fleet built from `options` gives device `index`.
+[[nodiscard]] DeviceSpec device_spec(const FleetOptions& options, int index);
+
+/// The fleet's serial reference: advances `device` (fleet index `index`)
+/// by `total` on the calling thread exactly as Fleet::run_for moves each
+/// of its devices — causal windows of `epoch` from the device's current
+/// time, each one PushBroker::inject plus the fleet's trace marks, then
+/// advance_to. Differential tests drive one device per index through
+/// this loop and compare against the fleet bit for bit.
+void run_serially(DeviceContext& device, int index, PushBroker& broker,
+                  sim::Duration total, sim::Duration epoch);
 
 }  // namespace eandroid::fleet

@@ -8,9 +8,9 @@
 //   snapshot = results + position, restore = deterministic replay.
 //
 // Every device is a pure function of its DeviceSpec and the frozen
-// campaign list (the determinism contract the lockstep differential
-// tests pin), and the spec itself is nearly weightless: its heavy fields
-// are shared_ptr<const> aliases of fleet-wide immutable tables
+// campaign list (the determinism contract the serial-reference
+// differential tests pin), and the spec itself is nearly weightless: its
+// heavy fields are shared_ptr<const> aliases of fleet-wide immutable tables
 // (PowerParams, frozen manifests, EngineConfig), interned once per
 // fleet. So hibernating a quiescent device means: record the outputs a
 // caller could still ask for (the full-precision energy digest, delivery

@@ -54,7 +54,7 @@ SendRange send_range(const PushCampaign& campaign, int device_index,
 
 void PushBroker::add_campaign(PushCampaign campaign) {
   EANDROID_CHECK(!frozen_,
-                 "PushBroker::add_campaign after freeze(): the async fleet "
+                 "PushBroker::add_campaign after freeze(): the fleet "
                  "reads campaigns from worker threads once started");
   campaigns_.push_back(std::move(campaign));
 }

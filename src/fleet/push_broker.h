@@ -6,20 +6,20 @@
 // translates them into device-local events at causal-window boundaries.
 // Nothing is shared at delivery time — each send is scheduled on the
 // target device's own simulator and executes on whichever worker advances
-// that device, so fleet results stay bitwise independent of sharding.
+// that device, so fleet results stay bitwise independent of scheduling.
 //
 // Determinism contract: the events injected into device i for window
 // [begin, end) are a pure function of (campaigns, i, begin, end). The
 // broker keeps no per-delivery state; delivery counts live on each
-// device's PushService. The work-stealing scheduler leans on this from
-// many threads at once, so the broker is immutable while a fleet runs:
-// freeze() (called at async start()) makes add_campaign a checked error,
+// device's PushService. The fleet's workers lean on this from many
+// threads at once, so the broker is immutable while a fleet runs:
+// freeze() (called by Fleet::start) makes add_campaign a checked error,
 // and the only mutable member is an atomic counter.
 //
 // Same-instant ties: a send landing at sim time t fires at t, but its
 // order among OTHER device events at exactly t follows insertion order —
 // and insertion happens at the start of the window containing t. Digests
-// are therefore invariant across shard counts and repeats always, and
+// are therefore invariant across worker counts and repeats always, and
 // across window lengths whenever sends do not collide to the microsecond
 // with a device-internal event (e.g. a sampler tick); campaigns that
 // must be window-length-portable should pick start/stagger values off the
@@ -62,17 +62,16 @@ class PushBroker {
     return campaigns_;
   }
 
-  /// Seals the campaign list. Called by the async fleet before its first
+  /// Seals the campaign list. Called by the fleet before its first
   /// dispatch: workers read campaigns_ concurrently, so mutating it after
-  /// freeze() is a checked error. Lockstep fleets never freeze — their
-  /// injection runs on the driver thread between epochs.
+  /// freeze() is a checked error.
   void freeze() { frozen_ = true; }
   [[nodiscard]] bool frozen() const { return frozen_; }
 
   /// Schedules every campaign send landing in [begin, end) onto `device`'s
   /// simulator, with the device's clock at or before `begin`. Called by
-  /// the lockstep driver between epochs, or by the worker that owns the
-  /// device in async mode. Returns the number of sends scheduled.
+  /// the worker that owns the device. Returns the number of sends
+  /// scheduled.
   /// Send instants are enumerated in closed form (the k-range of
   /// start + stagger*i + period*k intersecting the window), so cost is
   /// O(campaigns + sends-in-window), not O(pushes_per_device).
@@ -96,7 +95,7 @@ class PushBroker {
  private:
   std::vector<PushCampaign> campaigns_;
   bool frozen_ = false;
-  /// Atomic: async workers inject concurrently for different devices.
+  /// Atomic: workers inject concurrently for different devices.
   std::atomic<std::uint64_t> scheduled_{0};
 };
 

@@ -1,11 +1,10 @@
 // ProgramExecutor: replays one ScenarioProgram on one DeviceContext.
 //
 // Every step is scheduled up front at its absolute virtual instant, so
-// the same program drives a single-phone Testbed, any metering shape
-// (hot/baseline × fused/virtual), and every device of a fleet — on the
-// batched core the events simply land in the shard group's shared
-// TimeWheel. The executor owns the runtime handles the grammar speaks of
-// abstractly (binding/wakelock/alarm/sensor stacks per actor) and is
+// the same program drives a single-phone Testbed, every device of a
+// fleet, and the fleet's serial reference. The executor owns the runtime
+// handles the grammar speaks of abstractly (binding/wakelock/alarm/sensor
+// stacks per actor) and is
 // defensive at the pop sites: a handle reaped by a crash or an ANR kill
 // makes the release a no-op, never an error, so fault ops and framework
 // recovery can perturb state without ever making a valid program

@@ -20,12 +20,9 @@ struct Observed {
 };
 
 /// One single-device replay; digests/traces have exactly one element.
-Observed run_single(const ScenarioProgram& program, bool hot, bool fused,
-                    bool trace) {
+Observed run_single(const ScenarioProgram& program, bool trace) {
   fleet::DeviceSpec spec;
   spec.seed = program.seed;
-  spec.hot_path = hot;
-  spec.fused_metering = fused;
   spec.obs.trace = trace;
   fleet::DeviceContext bed(spec);
   install_cast(bed);
@@ -40,25 +37,23 @@ Observed run_single(const ScenarioProgram& program, bool hot, bool fused,
 
 constexpr int kFleetDevices = 4;
 
-/// One fleet replay: every device runs the same program (device rng seeds
-/// differ via seed_stride, so the population is not N clones), with a
-/// push campaign layered on top to keep cross-device injection in play.
-/// Campaign instants sit off the 250 ms sampling grid (broker contract).
-Observed run_fleet(const ScenarioProgram& program, fleet::Scheduler scheduler,
-                   fleet::FleetCore core, int shards, bool trace) {
+fleet::FleetOptions fleet_options(const ScenarioProgram& program,
+                                  bool trace) {
   fleet::FleetOptions options;
   options.device_count = kFleetDevices;
   options.base_seed = program.seed;
   options.seed_stride = 1;
-  options.scheduler = scheduler;
-  options.core = core;
-  options.shards = shards;
-  if (scheduler == fleet::Scheduler::kWorkStealing) options.workers = 4;
+  options.workers = 4;
   options.epoch = sim::seconds(1);
   options.obs.trace = trace;
   options.install_plan = cast_install_plan();
-  fleet::Fleet f(std::move(options));
+  return options;
+}
 
+/// The push campaign both fleet legs layer on top of the program, so
+/// cross-device injection is in play. Instants sit off the 250 ms
+/// sampling grid (broker contract).
+fleet::PushCampaign fleet_campaign() {
   fleet::PushCampaign campaign;
   campaign.sender_package = kCastPackages[2];
   campaign.target_package = kCastPackages[kPushApp];
@@ -66,12 +61,40 @@ Observed run_fleet(const ScenarioProgram& program, fleet::Scheduler scheduler,
   campaign.period = sim::millis(673);
   campaign.pushes_per_device = 4;
   campaign.device_stagger = sim::millis(13);
-  f.broker().add_campaign(campaign);
+  return campaign;
+}
 
+/// The fleet reference: each device built alone from the fleet's spec and
+/// driven serially through the same causal windows.
+Observed run_serial_fleet(const ScenarioProgram& program, bool trace) {
+  const fleet::FleetOptions options = fleet_options(program, trace);
+  fleet::PushBroker broker;
+  broker.add_campaign(fleet_campaign());
+  Observed out;
+  for (int i = 0; i < kFleetDevices; ++i) {
+    fleet::DeviceContext device(fleet::device_spec(options, i));
+    device.start();
+    ProgramExecutor executor(device, program);
+    executor.arm();
+    fleet::run_serially(device, i, broker,
+                        sim::micros(program.horizon_us), options.epoch);
+    device.finish();
+    out.digests.push_back(device.energy_digest());
+    if (trace) out.traces.push_back(device.trace_text());
+  }
+  return out;
+}
+
+/// Every device runs the same program (device rng seeds differ via
+/// seed_stride, so the population is not N clones) on the work-stealing
+/// fleet.
+Observed run_fleet(const ScenarioProgram& program, bool trace) {
+  fleet::Fleet f(fleet_options(program, trace));
+  f.broker().add_campaign(fleet_campaign());
   f.start();
   // Arm between start() and the first run (driver-thread window). The
-  // executors outlive the run: their closures fire from the fleet's
-  // schedulers.
+  // executors outlive the run: their closures fire on the fleet's
+  // workers.
   std::vector<std::unique_ptr<ProgramExecutor>> executors;
   executors.reserve(kFleetDevices);
   for (int i = 0; i < kFleetDevices; ++i) {
@@ -152,24 +175,12 @@ OracleVerdict run_oracle(const ScenarioProgram& program,
   const bool trace = options.trace;
 
   if (options.single_legs) {
-    const Observed reference =
-        timed("single.reference", &verdict,
-              [&] { return run_single(program, true, true, trace); });
+    const Observed reference = timed("single.reference", &verdict, [&] {
+      return run_single(program, trace);
+    });
     compare("single.determinism", reference,
             timed("single.determinism", &verdict,
-                  [&] { return run_single(program, true, true, trace); }),
-            &verdict);
-    compare("single.hot_vs_baseline", reference,
-            timed("single.hot_vs_baseline", &verdict,
-                  [&] { return run_single(program, false, true, trace); }),
-            &verdict);
-    compare("single.fused_vs_virtual", reference,
-            timed("single.fused_vs_virtual", &verdict,
-                  [&] { return run_single(program, true, false, trace); }),
-            &verdict);
-    compare("single.baseline_virtual", reference,
-            timed("single.baseline_virtual", &verdict,
-                  [&] { return run_single(program, false, false, trace); }),
+                  [&] { return run_single(program, trace); }),
             &verdict);
 
     // Invariant leg: its own device, digest never compared (per-step
@@ -193,39 +204,12 @@ OracleVerdict run_oracle(const ScenarioProgram& program,
   }
 
   if (options.fleet_legs) {
-    const Observed reference =
-        timed("fleet.reference", &verdict, [&] {
-          return run_fleet(program, fleet::Scheduler::kLockstep,
-                           fleet::FleetCore::kBaseline, 1, trace);
-        });
-    compare("fleet.shards4", reference,
-            timed("fleet.shards4", &verdict,
-                  [&] {
-                    return run_fleet(program, fleet::Scheduler::kLockstep,
-                                     fleet::FleetCore::kBaseline, 4, trace);
-                  }),
-            &verdict);
-    compare("fleet.shards8", reference,
-            timed("fleet.shards8", &verdict,
-                  [&] {
-                    return run_fleet(program, fleet::Scheduler::kLockstep,
-                                     fleet::FleetCore::kBaseline, 8, trace);
-                  }),
-            &verdict);
+    const Observed reference = timed("fleet.reference", &verdict, [&] {
+      return run_serial_fleet(program, trace);
+    });
     compare("fleet.work_stealing", reference,
             timed("fleet.work_stealing", &verdict,
-                  [&] {
-                    return run_fleet(program,
-                                     fleet::Scheduler::kWorkStealing,
-                                     fleet::FleetCore::kBaseline, 4, trace);
-                  }),
-            &verdict);
-    compare("fleet.batched", reference,
-            timed("fleet.batched", &verdict,
-                  [&] {
-                    return run_fleet(program, fleet::Scheduler::kLockstep,
-                                     fleet::FleetCore::kBatched, 2, trace);
-                  }),
+                  [&] { return run_fleet(program, trace); }),
             &verdict);
   }
   return verdict;

@@ -1,25 +1,21 @@
-// The stacked differential oracle: one ScenarioProgram, many routes.
+// The stacked differential oracle: one ScenarioProgram, several routes.
 //
 // A program is replayed on every execution route the repo claims is
 // observationally identical, and the full-precision energy digests (and
 // trace bytes, when tracing is on) are compared bit for bit:
 //
-//   single-device legs — determinism (same spec twice), the hot
-//   (alloc-free) metering path vs the baseline path, the fused
-//   MeteringPipeline vs the virtual sink chain, and the baseline×virtual
-//   cross; plus an InvariantChecker leg that runs the full consistency
-//   check after every step (its digest is never compared — mid-run
-//   sampler flushes move window boundaries);
+//   single-device legs — determinism (same spec twice), plus an
+//   InvariantChecker leg that runs the full consistency check after every
+//   step (its digest is never compared — mid-run sampler flushes move
+//   window boundaries);
 //
-//   fleet legs — a 4-device lockstep/shards=1/per-device-heap reference
-//   against shard counts {4, 8}, the work-stealing scheduler, and the
-//   batched core (shared wheel + SoA slab + arena), with a push-broker
-//   campaign layered on top so cross-device injection is in play.
+//   fleet legs — a 4-device serial reference (each device built alone and
+//   driven window by window with fleet::run_serially) against the
+//   work-stealing fleet, with a push-broker campaign layered on top so
+//   cross-device injection is in play.
 //
-// Any mismatch is an equivalence bug by definition: every route shares
-// every summation and its order. The verdict lists one line per broken
-// leg plus any invariant violations, and times each leg for the bench's
-// oracle-leg breakdown.
+// The verdict lists one line per broken leg plus any invariant
+// violations, and times each leg for the bench's oracle-leg breakdown.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +27,10 @@
 namespace eandroid::fuzz {
 
 struct OracleOptions {
-  /// Single-device legs (determinism, hot/baseline, fused/virtual, cross,
-  /// per-step invariants).
+  /// Single-device legs (determinism, per-step invariants).
   bool single_legs = true;
-  /// Fleet legs (shard counts, work-stealing, batched core). Heavier —
-  /// five 4-device fleet runs per program.
+  /// Fleet legs (serial reference vs the work-stealing fleet). Heavier —
+  /// two 4-device runs per program.
   bool fleet_legs = true;
   /// Record and compare trace bytes as well as digests.
   bool trace = true;

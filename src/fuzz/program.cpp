@@ -232,7 +232,8 @@ bool ScenarioProgram::parse(const std::string& text, ScenarioProgram* out,
       return fail(line_no, "expected 'steps <n>'");
     }
   }
-  program.steps.reserve(step_count);
+  // No reserve(step_count): the count is untrusted input. A count larger
+  // than the text fails on the first missing step line instead.
   for (std::size_t i = 0; i < step_count; ++i) {
     if (!next_line()) return fail(line_no, "unexpected end of steps");
     std::istringstream fields(line);

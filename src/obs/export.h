@@ -2,9 +2,9 @@
 //
 //   text_trace()   — one line per event, `@t_us category name uid=U arg=A`.
 //                    The byte stream depends only on the recorded events,
-//                    so it is stable across shard counts and hot-vs-
-//                    baseline paths and diffs cleanly (the golden-trace
-//                    suite stores exactly these bytes).
+//                    so it is stable across fleet worker counts and
+//                    diffs cleanly (the golden-trace suite stores exactly
+//                    these bytes).
 //   chrome_trace() — Chrome trace_event JSON (the "JSON Array Format"),
 //                    loadable in Perfetto / chrome://tracing. Events are
 //                    instants; each uid gets its own named track (tid) and

@@ -9,8 +9,8 @@
 // registries fed the same simulation produce byte-identical output
 // regardless of registration order — the fleet aggregator relies on this
 // to fold per-device snapshots into one population table, and the
-// differential tests rely on it to compare shard counts {1,4,8} and
-// hot-vs-baseline runs bitwise.
+// differential tests rely on it to compare worker counts {1,4,8}
+// bitwise.
 #pragma once
 
 #include <algorithm>

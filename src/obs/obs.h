@@ -21,17 +21,13 @@ struct ObsOptions {
   bool trace = false;
   /// Ring capacity in events (newest win on overflow).
   std::size_t trace_capacity = 1u << 16;
-  /// Optional arena backing the trace ring (the batched fleet core sets
-  /// this to the shard group's arena; must outlive the recorder).
-  sim::MonotonicArena* arena = nullptr;
 };
 
 class Observability {
  public:
   explicit Observability(ObsOptions options = {}) : options_(options) {
     if (options_.trace)
-      trace_ = std::make_unique<TraceRecorder>(options_.trace_capacity,
-                                               options_.arena);
+      trace_ = std::make_unique<TraceRecorder>(options_.trace_capacity);
   }
 
   /// Null when tracing was not requested.

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "kernel/interner.h"
-#include "sim/arena.h"
 
 namespace eandroid::obs {
 
@@ -78,19 +77,8 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>);
 
 class TraceRecorder {
  public:
-  /// With an arena, the ring is carved from it (the batched fleet core
-  /// co-locates a shard group's rings in the group arena); otherwise the
-  /// recorder owns a heap vector. Behaviour is identical either way.
-  explicit TraceRecorder(std::size_t capacity = 1u << 16,
-                         sim::MonotonicArena* arena = nullptr) {
-    cap_ = capacity == 0 ? 1 : capacity;
-    if (arena != nullptr) {
-      ring_ = arena->alloc_array<TraceEvent>(cap_);
-    } else {
-      owned_.resize(cap_);
-      ring_ = owned_.data();
-    }
-  }
+  explicit TraceRecorder(std::size_t capacity = 1u << 16)
+      : ring_(capacity == 0 ? 1 : capacity), cap_(ring_.size()) {}
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -159,11 +147,10 @@ class TraceRecorder {
   }
 
  private:
-  TraceEvent* ring_ = nullptr;  // arena- or owned_-backed, cap_ slots
-  std::size_t cap_ = 0;
-  std::vector<TraceEvent> owned_;  // backing store when no arena given
-  std::size_t head_ = 0;           // next write position
-  std::uint64_t total_ = 0;        // lifetime count
+  std::vector<TraceEvent> ring_;  // cap_ slots, never resized
+  std::size_t cap_;
+  std::size_t head_ = 0;          // next write position
+  std::uint64_t total_ = 0;       // lifetime count
   bool recording_ = true;
   kernelsim::IdTable names_;  // private: see header comment, point 2
 };

@@ -4,23 +4,11 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/time_wheel.h"
 
 namespace eandroid::sim {
 
-Simulator::Simulator(std::uint64_t seed, TimeWheel* wheel)
-    : rng_(seed), wheel_(wheel) {
-  if (wheel_ != nullptr) wheel_dev_ = wheel_->attach(*this);
-}
-
 std::function<void()> Simulator::every(Duration period,
                                        std::function<void()> task) {
-  if (wheel_ != nullptr) {
-    const EventHandle h =
-        wheel_->push_periodic(wheel_dev_, now_ + period, period,
-                              std::move(task));
-    return [this, h] { wheel_->cancel(wheel_dev_, h); };
-  }
   // One periodic queue entry for the whole lifetime of the timer; the
   // queue reschedules it in place each firing (no per-tick allocation).
   const EventHandle h =
@@ -28,32 +16,6 @@ std::function<void()> Simulator::every(Duration period,
   // {Simulator*, handle} fits std::function's small-buffer storage, so
   // the canceller itself does not allocate either.
   return [this, h] { queue_.cancel(h); };
-}
-
-EventHandle Simulator::wheel_push(TimePoint when, EventQueue::Callback cb) {
-  return wheel_->push(wheel_dev_, when, std::move(cb));
-}
-
-bool Simulator::wheel_cancel(EventHandle h) {
-  return wheel_->cancel(wheel_dev_, h);
-}
-
-std::size_t Simulator::wheel_pending() const {
-  return wheel_->pending_of(wheel_dev_);
-}
-
-TimePoint Simulator::wheel_next_time() const {
-  return wheel_->next_time_of(wheel_dev_);
-}
-
-void Simulator::wheel_dispatch(TimePoint when, std::size_t depth,
-                               const EventQueue::Callback& cb) {
-  now_ = when;
-  EANDROID_TRACE(trace_, now_.micros(), obs::TraceCategory::kSim,
-                 dispatch_name_, -1, static_cast<std::int64_t>(depth));
-  cb();
-  ++events_dispatched_;
-  if (metrics_ != nullptr) metrics_->add(dispatch_metric_);
 }
 
 void Simulator::set_observability(obs::TraceRecorder* trace,
@@ -68,9 +30,6 @@ void Simulator::set_observability(obs::TraceRecorder* trace,
 }
 
 void Simulator::run_until(TimePoint until) {
-  EANDROID_CHECK(wheel_ == nullptr,
-                 "run_until on a wheel-bound simulator; advance the group "
-                 "through TimeWheel::run_until instead");
   while (!queue_.empty() && queue_.next_time() <= until) {
     now_ = queue_.next_time();
     // Trace before firing: the callback may itself record events, and the
@@ -87,9 +46,6 @@ void Simulator::run_until(TimePoint until) {
 }
 
 void Simulator::run_all() {
-  EANDROID_CHECK(wheel_ == nullptr,
-                 "run_all on a wheel-bound simulator; advance the group "
-                 "through TimeWheel::run_until instead");
   while (!queue_.empty()) {
     now_ = queue_.next_time();
     EANDROID_TRACE(trace_, now_.micros(), obs::TraceCategory::kSim,

@@ -22,16 +22,9 @@ class MetricsRegistry;
 
 namespace eandroid::sim {
 
-class TimeWheel;
-
 class Simulator {
  public:
-  /// A simulator bound to a TimeWheel (the batched fleet core) delegates
-  /// all scheduling to the shared wheel and is advanced by
-  /// TimeWheel::run_until instead of its own run loop; everything else —
-  /// clock, rng, observability — behaves identically. The wheel must
-  /// outlive the simulator.
-  explicit Simulator(std::uint64_t seed = 1, TimeWheel* wheel = nullptr);
+  explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -41,20 +34,18 @@ class Simulator {
 
   /// Schedules `cb` to run `delay` after the current instant.
   EventHandle schedule(Duration delay, EventQueue::Callback cb) {
-    if (wheel_ != nullptr) return wheel_push(now_ + delay, std::move(cb));
     return queue_.push(now_ + delay, std::move(cb));
   }
 
   /// Schedules `cb` at an absolute instant. Scheduling in the past is a
   /// checked error (it used to clamp to now_ silently, which let ordering
-  /// bugs masquerade as same-instant events — fleet lockstep epochs rely
+  /// bugs masquerade as same-instant events — fleet causal windows rely
   /// on every injected instant being honest). Callers that legitimately
   /// mean "this instant or as soon as possible" use schedule_at_or_now.
   EventHandle schedule_at(TimePoint when, EventQueue::Callback cb) {
     EANDROID_CHECK(when >= now_, "schedule_at in the past: when="
                                      << when.micros() << "us, now="
                                      << now_.micros() << "us");
-    if (wheel_ != nullptr) return wheel_push(when, std::move(cb));
     return queue_.push(when, std::move(cb));
   }
 
@@ -62,17 +53,11 @@ class Simulator {
   /// current instant instead (insertion order preserved). Used by fault
   /// plans, whose absolute schedules may start before they are armed.
   EventHandle schedule_at_or_now(TimePoint when, EventQueue::Callback cb) {
-    if (wheel_ != nullptr) {
-      return wheel_push(when < now_ ? now_ : when, std::move(cb));
-    }
     return queue_.push(when < now_ ? now_ : when, std::move(cb));
   }
 
   /// Cancels a pending event; returns false if it already ran.
-  bool cancel(EventHandle h) {
-    if (wheel_ != nullptr) return wheel_cancel(h);
-    return queue_.cancel(h);
-  }
+  bool cancel(EventHandle h) { return queue_.cancel(h); }
 
   /// Registers a repeating task with a fixed period. The task keeps firing
   /// until the returned canceller is invoked or the simulation ends.
@@ -80,9 +65,7 @@ class Simulator {
   std::function<void()> every(Duration period, std::function<void()> task);
 
   /// Runs until the event queue drains or the clock passes `until`.
-  /// Events scheduled exactly at `until` still run. Checked error on a
-  /// wheel-bound simulator: the shared TimeWheel owns the run loop there
-  /// (TimeWheel::run_until advances the whole group).
+  /// Events scheduled exactly at `until` still run.
   void run_until(TimePoint until);
 
   /// Advances virtual time by `d`, running any events that fall inside.
@@ -92,23 +75,16 @@ class Simulator {
   /// drain on their own).
   void run_all();
 
-  [[nodiscard]] std::size_t pending_events() const {
-    if (wheel_ != nullptr) return wheel_pending();
-    return queue_.size();
-  }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// True when at least one event is pending.
-  [[nodiscard]] bool has_pending() const {
-    if (wheel_ != nullptr) return wheel_pending() > 0;
-    return !queue_.empty();
-  }
+  [[nodiscard]] bool has_pending() const { return !queue_.empty(); }
 
   /// Instant of the earliest pending event. Precondition: has_pending().
   /// Schedulers peek this to park a quiescent device: a device whose next
   /// event lies beyond a causal window can skip the window in one
   /// run_until without dispatching anything.
   [[nodiscard]] TimePoint next_event_time() const {
-    if (wheel_ != nullptr) return wheel_next_time();
     EANDROID_CHECK(!queue_.empty(),
                    "next_event_time on an empty event queue");
     return queue_.next_time();
@@ -131,30 +107,9 @@ class Simulator {
   }
 
  private:
-  friend class TimeWheel;
-
-  // Out-of-line wheel delegates (time_wheel.h stays out of this header).
-  EventHandle wheel_push(TimePoint when, EventQueue::Callback cb);
-  bool wheel_cancel(EventHandle h);
-  [[nodiscard]] std::size_t wheel_pending() const;
-  [[nodiscard]] TimePoint wheel_next_time() const;
-
-  /// TimeWheel's dispatch hook: moves the clock, emits the sim.dispatch
-  /// mark (arg = this device's pending depth, the queue_.size() analogue),
-  /// runs the callback, then bumps the dispatch counters — byte-for-byte
-  /// the body of the baseline run_until loop.
-  void wheel_dispatch(TimePoint when, std::size_t depth,
-                      const EventQueue::Callback& cb);
-  /// End-of-run clock clamp (the `now_ < until` tail of run_until).
-  void wheel_catch_up(TimePoint until) {
-    if (now_ < until) now_ = until;
-  }
-
   TimePoint now_;
   EventQueue queue_;
   Rng rng_;
-  TimeWheel* wheel_ = nullptr;
-  std::uint32_t wheel_dev_ = 0;  ///< this simulator's wheel slot
   obs::TraceRecorder* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::uint32_t dispatch_name_ = 0;    // interned "sim.dispatch"

@@ -23,6 +23,13 @@ using framework::WakelockType;
 using framework::testing::RecordingApp;
 using framework::testing::simple_manifest;
 
+/// Feeds one slice through a pipeline that has only `engine` registered.
+void feed(EAndroidEngine& engine, const energy::EnergySlice& slice) {
+  energy::MeteringPipeline pipeline;
+  engine.attach_to(pipeline);
+  pipeline.run(slice);
+}
+
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest() : server_(sim_) {
@@ -81,7 +88,7 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, NoWindowsMeansNoCollateral) {
-  engine_->on_slice(slice_with({{"com.a", 100.0}}, 50.0));
+  feed(*engine_, slice_with({{"com.a", 100.0}}, 50.0));
   EXPECT_DOUBLE_EQ(engine_->direct_mj(uid("com.a")), 100.0);
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 0.0);
   EXPECT_DOUBLE_EQ(engine_->screen_row_mj(), 50.0);
@@ -91,7 +98,7 @@ TEST_F(EngineTest, NoWindowsMeansNoCollateral) {
 TEST_F(EngineTest, OpenWindowChargesDrivenEnergyToDriver) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  engine_->on_slice(slice_with({{"com.a", 10.0}, {"com.b", 100.0}}));
+  feed(*engine_, slice_with({{"com.a", 10.0}, {"com.b", 100.0}}));
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 100.0);
   EXPECT_DOUBLE_EQ(
       engine_->collateral_from(uid("com.a"), Entity::app(uid("com.b"))),
@@ -103,9 +110,9 @@ TEST_F(EngineTest, OpenWindowChargesDrivenEnergyToDriver) {
 TEST_F(EngineTest, ClosedWindowStopsCharging) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  engine_->on_slice(slice_with({{"com.b", 100.0}}));
+  feed(*engine_, slice_with({{"com.b", 100.0}}));
   server_.user_launch("com.b");  // closes the window
-  engine_->on_slice(slice_with({{"com.b", 70.0}}));
+  feed(*engine_, slice_with({{"com.b", 70.0}}));
   // Already-charged energy persists, nothing new accrues.
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 100.0);
 }
@@ -115,7 +122,7 @@ TEST_F(EngineTest, ChainChargesTransitively) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   ctx("com.b").start_activity(Intent::explicit_for("com.c", "Main"));
-  engine_->on_slice(slice_with({{"com.b", 40.0}, {"com.c", 60.0}}));
+  feed(*engine_, slice_with({{"com.b", 40.0}, {"com.c", 60.0}}));
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 100.0);
   EXPECT_DOUBLE_EQ(
       engine_->collateral_from(uid("com.a"), Entity::app(uid("com.c"))), 60.0);
@@ -127,7 +134,7 @@ TEST_F(EngineTest, BrokenChainLinkStopsDownstreamCharging) {
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   ctx("com.b").start_activity(Intent::explicit_for("com.c", "Main"));
   server_.user_launch("com.b");  // ends A->B
-  engine_->on_slice(slice_with({{"com.c", 50.0}}));
+  feed(*engine_, slice_with({{"com.c", 50.0}}));
   // B->C is still open; A->B is not, so A no longer reaches C.
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 0.0);
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.b")), 50.0);
@@ -138,7 +145,7 @@ TEST_F(EngineTest, MultiCollateralDoesNotDoubleCharge) {
   server_.user_launch("com.a");
   ctx("com.a").bind_service(Intent::explicit_for("com.svc", "Work"));
   ctx("com.a").start_activity(Intent::explicit_for("com.svc", "Main"));
-  engine_->on_slice(slice_with({{"com.svc", 100.0}}));
+  feed(*engine_, slice_with({{"com.svc", 100.0}}));
   // Two windows, one driven app: charged once.
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 100.0);
 }
@@ -147,7 +154,7 @@ TEST_F(EngineTest, CycleBetweenAppsDoesNotLoopForever) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   ctx("com.b").start_activity(Intent::explicit_for("com.a", "Main"));
-  engine_->on_slice(slice_with({{"com.a", 10.0}, {"com.b", 20.0}}));
+  feed(*engine_, slice_with({{"com.a", 10.0}, {"com.b", 20.0}}));
   // Each charges the other, neither charges itself.
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 20.0);
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.b")), 10.0);
@@ -157,7 +164,7 @@ TEST_F(EngineTest, WakelockForcedScreenChargedToHolder) {
   ctx("com.power").acquire_wakelock(WakelockType::kScreenBright, "t");
   sim_.run_for(sim::minutes(1));  // past the user-activity timeout
   ASSERT_TRUE(server_.power().screen_forced_by_wakelock());
-  engine_->on_slice(slice_with({}, 200.0));
+  feed(*engine_, slice_with({}, 200.0));
   EXPECT_DOUBLE_EQ(
       engine_->collateral_from(uid("com.power"), Entity::screen()), 200.0);
   // The claimed energy leaves the neutral row but stays on the books:
@@ -167,7 +174,7 @@ TEST_F(EngineTest, WakelockForcedScreenChargedToHolder) {
 }
 
 TEST_F(EngineTest, NormalScreenStaysOnNeutralRow) {
-  engine_->on_slice(slice_with({}, 200.0));
+  feed(*engine_, slice_with({}, 200.0));
   EXPECT_DOUBLE_EQ(engine_->screen_row_mj(), 200.0);
   EXPECT_DOUBLE_EQ(engine_->attributed_screen_mj(), 0.0);
 }
@@ -180,7 +187,7 @@ TEST_F(EngineTest, BrightnessDeltaChargedToAttacker) {
   const auto& p = server_.params();
   const double current_mw = p.screen_base_mw + 200 * p.screen_per_level_mw;
   const double delta_mw = 100 * p.screen_per_level_mw;
-  engine_->on_slice(slice_with({}, 300.0));
+  feed(*engine_, slice_with({}, 300.0));
   const double expected = 300.0 * delta_mw / current_mw;
   EXPECT_NEAR(engine_->collateral_from(uid("com.power"), Entity::screen()),
               expected, 1e-9);
@@ -197,7 +204,7 @@ TEST_F(EngineTest, ScreenCollateralFlowsUpChains) {
   // NOTE: the user brightness change above closes screen windows but not
   // the activity window A->power.
   ctx("com.power").set_brightness(255);
-  engine_->on_slice(slice_with({{"com.power", 10.0}}, 100.0));
+  feed(*engine_, slice_with({{"com.power", 10.0}}, 100.0));
   const double power_screen =
       engine_->collateral_from(uid("com.power"), Entity::screen());
   EXPECT_GT(power_screen, 0.0);
@@ -213,7 +220,7 @@ TEST_F(EngineTest, AccountingDisabledDropsEverything) {
                           EngineConfig{.accounting_enabled = false});
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  disabled.on_slice(slice_with({{"com.b", 100.0}}));
+  feed(disabled, slice_with({{"com.b", 100.0}}));
   EXPECT_DOUBLE_EQ(disabled.true_total_mj(), 0.0);
   EXPECT_DOUBLE_EQ(disabled.collateral_mj(uid("com.a")), 0.0);
 }
@@ -224,19 +231,19 @@ TEST_F(EngineTest, ChainAblationChargesOnlyDirectNeighbours) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   ctx("com.b").start_activity(Intent::explicit_for("com.c", "Main"));
-  flat.on_slice(slice_with({{"com.b", 40.0}, {"com.c", 60.0}}));
+  feed(flat, slice_with({{"com.b", 40.0}, {"com.c", 60.0}}));
   EXPECT_DOUBLE_EQ(flat.collateral_mj(uid("com.a")), 40.0);  // B only
   EXPECT_DOUBLE_EQ(flat.collateral_mj(uid("com.b")), 60.0);
 }
 
 TEST_F(EngineTest, TrueTotalAccumulates) {
-  engine_->on_slice(slice_with({{"com.a", 100.0}}, 50.0));
-  engine_->on_slice(slice_with({{"com.a", 100.0}}, 50.0));
+  feed(*engine_, slice_with({{"com.a", 100.0}}, 50.0));
+  feed(*engine_, slice_with({{"com.a", 100.0}}, 50.0));
   EXPECT_DOUBLE_EQ(engine_->true_total_mj(), 2 * (100.0 + 50.0 + 5.0));
 }
 
 TEST_F(EngineTest, ResetClearsState) {
-  engine_->on_slice(slice_with({{"com.a", 100.0}}, 50.0));
+  feed(*engine_, slice_with({{"com.a", 100.0}}, 50.0));
   engine_->reset();
   EXPECT_DOUBLE_EQ(engine_->true_total_mj(), 0.0);
   EXPECT_DOUBLE_EQ(engine_->direct_mj(uid("com.a")), 0.0);
@@ -246,7 +253,7 @@ TEST_F(EngineTest, ResetClearsState) {
 TEST_F(EngineTest, KnownUidsCoversDirectAndCollateral) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  engine_->on_slice(slice_with({{"com.b", 100.0}}));
+  feed(*engine_, slice_with({{"com.b", 100.0}}));
   const auto uids = engine_->known_uids();
   bool has_a = false, has_b = false;
   for (kernelsim::Uid u : uids) {

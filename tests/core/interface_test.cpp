@@ -17,6 +17,14 @@ using framework::Intent;
 using framework::testing::RecordingApp;
 using framework::testing::simple_manifest;
 
+/// Feeds one slice through a pipeline that has only `ea`'s engine
+/// registered.
+void feed(EAndroid& ea, const energy::EnergySlice& slice) {
+  energy::MeteringPipeline pipeline;
+  ea.engine().attach_to(pipeline);
+  pipeline.run(slice);
+}
+
 class InterfaceTest : public ::testing::Test {
  protected:
   InterfaceTest() : server_(sim_) {
@@ -58,7 +66,7 @@ class InterfaceTest : public ::testing::Test {
 TEST_F(InterfaceTest, RanksByTotalIncludingCollateral) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  ea_->on_slice(slice(10.0, 100.0));
+  feed(*ea_, slice(10.0, 100.0));
   const EAView view = ea_->view();
   ASSERT_GE(view.rows.size(), 2u);
   // A's total (10 own + 100 collateral) beats B's 100.
@@ -71,7 +79,7 @@ TEST_F(InterfaceTest, RanksByTotalIncludingCollateral) {
 TEST_F(InterfaceTest, InventoryListsContributors) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  ea_->on_slice(slice(10.0, 100.0));
+  feed(*ea_, slice(10.0, 100.0));
   const EAView view = ea_->view();
   const EARow* row = view.row_of("com.a");
   ASSERT_NE(row, nullptr);
@@ -83,7 +91,7 @@ TEST_F(InterfaceTest, InventoryListsContributors) {
 TEST_F(InterfaceTest, PercentAgainstTrueBatteryDrain) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  ea_->on_slice(slice(10.0, 100.0, 80.0));
+  feed(*ea_, slice(10.0, 100.0, 80.0));
   const EAView view = ea_->view();
   const double total = 10.0 + 100.0 + 80.0 + 10.0;
   EXPECT_NEAR(view.true_total_mj, total, 1e-9);
@@ -91,7 +99,7 @@ TEST_F(InterfaceTest, PercentAgainstTrueBatteryDrain) {
 }
 
 TEST_F(InterfaceTest, NoCollateralMeansEmptyInventory) {
-  ea_->on_slice(slice(10.0, 20.0));
+  feed(*ea_, slice(10.0, 20.0));
   const EAView view = ea_->view();
   const EARow* row = view.row_of("com.b");
   ASSERT_NE(row, nullptr);
@@ -102,7 +110,7 @@ TEST_F(InterfaceTest, NoCollateralMeansEmptyInventory) {
 TEST_F(InterfaceTest, RenderContainsInventoryLines) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  ea_->on_slice(slice(10.0, 100.0));
+  feed(*ea_, slice(10.0, 100.0));
   const std::string text = ea_->view().render("sample");
   EXPECT_NE(text.find("com.a"), std::string::npos);
   EXPECT_NE(text.find("+ from com.b"), std::string::npos);
@@ -124,7 +132,7 @@ TEST_F(InterfaceTest, RevisedPowerTutorBreakdownSplitsComponents) {
   s.add_routine_at(s.ids().app_of(uid("com.a")),
                    s.ids().routine_of("main"), 10.0);
   s.seal();
-  ea_->on_slice(s);
+  feed(*ea_, s);
   const auto* direct = ea_->engine().direct_breakdown(uid("com.a"));
   ASSERT_NE(direct, nullptr);
   EXPECT_DOUBLE_EQ(direct->cpu_mj, 10.0);
@@ -155,7 +163,7 @@ TEST_F(InterfaceTest, FrameworkOnlyModeTracksWithoutAccounting) {
   // Windows are tracked...
   EXPECT_EQ(framework_only.tracker().open_count(), 1u);
   // ...but slices are dropped.
-  framework_only.on_slice(slice(10.0, 100.0));
+  feed(framework_only, slice(10.0, 100.0));
   EXPECT_DOUBLE_EQ(framework_only.engine().true_total_mj(), 0.0);
 }
 

@@ -1,9 +1,8 @@
 // MeteringPipeline unit suite (the `metering` ctest label): fold order,
-// stage bracketing, the touched-view cell addressing, and fused-vs-virtual
-// bit-identity on a live testbed. The integration-scale 8-way matrix lives
-// in tests/integration/hotpath_equivalence_test.cpp; these tests pin the
-// pipeline's contracts at the component level where a violation has a
-// short, debuggable witness.
+// stage bracketing, the touched-view cell addressing, the dense column
+// folds against active-list sums, and external sinks on a live testbed.
+// These pin the pipeline's contracts at the component level, where a
+// violation has a short, debuggable witness.
 
 #include "energy/pipeline.h"
 
@@ -24,7 +23,6 @@ namespace {
 
 using apps::DemoApp;
 using apps::Testbed;
-using apps::TestbedOptions;
 
 kernelsim::Uid uid(std::int32_t v) { return kernelsim::Uid{v}; }
 
@@ -62,24 +60,6 @@ TEST(MeteringPipelineTest, TouchedViewAddressesTheSameCells) {
     EXPECT_EQ(view.parts[3][idx], slice.wifi_mj(idx));
     EXPECT_EQ(view.parts[4][idx], slice.audio_mj(idx));
   }
-}
-
-TEST(MeteringPipelineTest, TouchedViewAddressesSlabRows) {
-  sim::MonotonicArena arena;
-  EnergySlab slab(/*slots=*/3, arena);
-  EnergySlice slice;
-  slice.bind_slab(&slab, /*slot=*/1);
-  const kernelsim::AppIdx a = slice.ids().app_of(uid(10001));
-  const kernelsim::AppIdx b = slice.ids().app_of(uid(10007));
-  slice.part_at(b, HwPart::kAudio) += 7.5;
-  slice.part_at(a, HwPart::kCpu) += 1.5;
-  slice.seal();
-  const EnergySlice::TouchedView view = slice.touched_view();
-  EXPECT_EQ(view.parts[0], slab.row(0, 1));
-  EXPECT_EQ(view.parts[0][a], 1.5);
-  EXPECT_EQ(view.parts[4][b], 7.5);
-  EXPECT_EQ(view.parts[0][a], slice.cpu_mj(a));
-  EXPECT_EQ(view.parts[4][b], slice.audio_mj(b));
 }
 
 /// Stage stub that records when it ran relative to the fused cell pass,
@@ -145,91 +125,65 @@ TEST(MeteringPipelineTest, DirectStoreFoldIsBitIdenticalToTotalMj) {
             slice.camera_mj(b) + slice.camera_mj(b));
 }
 
-TEST(MeteringPipelineTest, DenseColumnFoldsMatchVirtualFolds) {
-  // BatteryStats and PowerTutor fold as dense column sweeps in the fused
-  // route — every cell, touched or not. The result must be EXACTLY the
-  // virtual active-list fold: untouched cells are exact +0.0, so their
-  // `+= +0.0` terms are bitwise no-ops.
+TEST(MeteringPipelineTest, DenseColumnFoldsMatchActiveListSums) {
+  // BatteryStats and PowerTutor fold as dense column sweeps — every
+  // cell, touched or not. The result must be EXACTLY the active-list
+  // sums: untouched cells are exact +0.0, so their `+= +0.0` terms are
+  // bitwise no-ops.
   const EnergySlice slice = make_slice();
   framework::PackageManager packages;
-
-  BatteryStats bs_virtual(packages);
-  PowerTutor pt_virtual(packages);
-  bs_virtual.on_slice(slice);
-  pt_virtual.on_slice(slice);
-  bs_virtual.on_slice(slice);  // accumulation across slices
-  pt_virtual.on_slice(slice);
-
-  BatteryStats bs_fused(packages);
-  PowerTutor pt_fused(packages);
+  BatteryStats bs(packages);
+  PowerTutor pt(packages);
   MeteringPipeline pipeline;
-  pipeline.set_battery_stats(&bs_fused);
-  pipeline.set_power_tutor(&pt_fused);
+  pipeline.set_battery_stats(&bs);
+  pipeline.set_power_tutor(&pt);
   pipeline.run(slice);
-  pipeline.run(slice);
+  pipeline.run(slice);  // accumulation across slices
 
-  EXPECT_EQ(bs_fused.total_mj(), bs_virtual.total_mj());
-  EXPECT_EQ(pt_fused.total_mj(), pt_virtual.total_mj());
-  for (std::int32_t v = 10001; v <= 10003; ++v) {
-    EXPECT_EQ(bs_fused.app_energy_mj(uid(v)),
-              bs_virtual.app_energy_mj(uid(v)));
-    EXPECT_EQ(pt_fused.app_energy_mj(uid(v)),
-              pt_virtual.app_energy_mj(uid(v)));
-    for (const HwPart part : {HwPart::kCpu, HwPart::kCamera, HwPart::kGps,
-                              HwPart::kWifi, HwPart::kAudio}) {
-      EXPECT_EQ(pt_fused.component_energy_mj(uid(v), part),
-                pt_virtual.component_energy_mj(uid(v), part));
-    }
+  double app_total = 0.0;
+  for (const kernelsim::AppIdx idx : slice.active()) {
+    const kernelsim::Uid u = slice.uid_at(idx);
+    const double twice = slice.sum_at(idx) + slice.sum_at(idx);
+    app_total += twice;
+    EXPECT_EQ(bs.app_energy_mj(u), twice);
+    EXPECT_EQ(pt.app_energy_mj(u), twice);
+    EXPECT_EQ(pt.component_energy_mj(u, HwPart::kCpu),
+              slice.cpu_mj(idx) + slice.cpu_mj(idx));
+    EXPECT_EQ(pt.component_energy_mj(u, HwPart::kCamera),
+              slice.camera_mj(idx) + slice.camera_mj(idx));
+    EXPECT_EQ(pt.component_energy_mj(u, HwPart::kGps),
+              slice.gps_mj(idx) + slice.gps_mj(idx));
+    EXPECT_EQ(pt.component_energy_mj(u, HwPart::kWifi),
+              slice.wifi_mj(idx) + slice.wifi_mj(idx));
+    EXPECT_EQ(pt.component_energy_mj(u, HwPart::kAudio),
+              slice.audio_mj(idx) + slice.audio_mj(idx));
   }
-}
-
-/// One phone, one deterministic workload, both metering routes.
-std::string digest_with(bool fused) {
-  Testbed bed({.seed = 7, .fused_metering = fused});
-  apps::DemoAppSpec victim = apps::victim_spec();
-  victim.package = "com.pipeline.victim";
-  victim.foreground_cpu = 0.12;
-  victim.service_cpu = 0.25;
-  bed.install<DemoApp>(victim);
-  bed.start();
-  bed.server().user_launch("com.pipeline.victim");
-  bed.context_of("com.pipeline.victim")
-      .start_service(framework::Intent::explicit_for("com.pipeline.victim",
-                                                     DemoApp::kService));
-  bed.run_for(sim::seconds(30));
-  return bed.energy_digest();
-}
-
-TEST(MeteringPipelineTest, FusedDigestMatchesVirtualBitForBit) {
-  EXPECT_EQ(digest_with(true), digest_with(false));
+  // Screen stays its own row in BatteryStats; no foreground app, so
+  // PowerTutor keeps it unattributed too.
+  EXPECT_DOUBLE_EQ(bs.total_mj(), app_total + 2 * (slice.screen_mj +
+                                                   slice.system_mj));
+  EXPECT_DOUBLE_EQ(pt.total_mj(), bs.total_mj());
 }
 
 TEST(MeteringPipelineTest, UnfusedSinksStillRunAfterThePipeline) {
-  // A sink registered via add_sink (here: the timeline recorder, which
-  // stays unfused) must see every slice on the fused route and record
-  // exactly what it records on the virtual route.
-  auto rows_with = [](bool fused) {
-    Testbed bed({.seed = 11, .fused_metering = fused});
-    apps::DemoAppSpec victim = apps::victim_spec();
-    victim.package = "com.pipeline.victim";
-    bed.install<DemoApp>(victim);
-    TimelineRecorder timeline(bed.server().packages());
-    bed.sampler().add_sink(&timeline);
-    bed.start();
-    bed.server().user_launch("com.pipeline.victim");
-    bed.run_for(sim::seconds(10));
-    return timeline.rows();
-  };
-  const auto fused = rows_with(true);
-  const auto virt = rows_with(false);
-  ASSERT_FALSE(fused.empty());
-  ASSERT_EQ(fused.size(), virt.size());
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(fused[i].total_mj, virt[i].total_mj);
-    EXPECT_EQ(fused[i].screen_mj, virt[i].screen_mj);
-    EXPECT_EQ(fused[i].system_mj, virt[i].system_mj);
-    EXPECT_EQ(fused[i].apps, virt[i].apps);
-  }
+  // A sink registered via add_sink (here: the timeline recorder) must see
+  // every slice the pipeline folds, and see it whole.
+  Testbed bed({.seed = 11});
+  apps::DemoAppSpec victim = apps::victim_spec();
+  victim.package = "com.pipeline.victim";
+  bed.install<DemoApp>(victim);
+  TimelineRecorder timeline(bed.server().packages());
+  bed.sampler().add_sink(&timeline);
+  bed.start();
+  bed.server().user_launch("com.pipeline.victim");
+  bed.run_for(sim::seconds(10));
+
+  const auto& rows = timeline.rows();
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.size(), bed.pipeline().slices_folded());
+  double total = 0.0;
+  for (const auto& row : rows) total += row.total_mj;
+  EXPECT_NEAR(total, bed.battery_stats().total_mj(), 1e-6);
 }
 
 TEST(MeteringPipelineTest, PipelineCountsSlicesAndCells) {
@@ -241,21 +195,16 @@ TEST(MeteringPipelineTest, PipelineCountsSlicesAndCells) {
   bed.server().user_launch("com.pipeline.victim");
   bed.run_for(sim::seconds(5));
 
-  ASSERT_NE(bed.pipeline(), nullptr);
-  EXPECT_EQ(bed.pipeline()->slices_folded(), bed.sampler().slices_emitted());
-  EXPECT_GT(bed.pipeline()->cells_folded(), 0u);
+  EXPECT_EQ(bed.pipeline().slices_folded(), bed.sampler().slices_emitted());
+  EXPECT_GT(bed.pipeline().cells_folded(), 0u);
 
   const obs::MetricsSnapshot snap = bed.metrics_snapshot();
   const obs::MetricRow* folds = snap.find("energy.pipeline.folds");
   ASSERT_NE(folds, nullptr);
-  EXPECT_EQ(folds->count, bed.pipeline()->slices_folded());
+  EXPECT_EQ(folds->count, bed.pipeline().slices_folded());
   const obs::MetricRow* cells = snap.find("energy.pipeline.fused_cells");
   ASSERT_NE(cells, nullptr);
-  EXPECT_EQ(cells->count, bed.pipeline()->cells_folded());
-
-  // The virtual route constructs no pipeline at all.
-  Testbed virt({.seed = 3, .fused_metering = false});
-  EXPECT_EQ(virt.pipeline(), nullptr);
+  EXPECT_EQ(cells->count, bed.pipeline().cells_folded());
 }
 
 }  // namespace

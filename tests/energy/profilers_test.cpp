@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "energy/battery_stats.h"
+#include "energy/pipeline.h"
 #include "energy/power_tutor.h"
 
 #include "framework/package_manager.h"
@@ -19,7 +20,13 @@ class ProfilersTest : public ::testing::Test {
   ProfilersTest() : stats_(packages_), tutor_(packages_) {
     uid_a_ = packages_.install(simple_manifest("com.a"), nullptr);
     uid_b_ = packages_.install(simple_manifest("com.b"), nullptr);
+    stats_pipeline_.set_battery_stats(&stats_);
+    tutor_pipeline_.set_power_tutor(&tutor_);
   }
+
+  // Each profiler is fed through a pipeline that has only it registered.
+  void feed_stats(const EnergySlice& slice) { stats_pipeline_.run(slice); }
+  void feed_tutor(const EnergySlice& slice) { tutor_pipeline_.run(slice); }
 
   EnergySlice make_slice(double a_cpu, double b_cpu, double screen,
                          kernelsim::Uid foreground) {
@@ -42,18 +49,20 @@ class ProfilersTest : public ::testing::Test {
   framework::PackageManager packages_;
   BatteryStats stats_;
   PowerTutor tutor_;
+  MeteringPipeline stats_pipeline_;
+  MeteringPipeline tutor_pipeline_;
   kernelsim::Uid uid_a_, uid_b_;
 };
 
 TEST_F(ProfilersTest, BatteryStatsAccumulatesPerApp) {
-  stats_.on_slice(make_slice(100, 50, 200, uid_a_));
-  stats_.on_slice(make_slice(100, 0, 200, uid_a_));
+  feed_stats(make_slice(100, 50, 200, uid_a_));
+  feed_stats(make_slice(100, 0, 200, uid_a_));
   EXPECT_DOUBLE_EQ(stats_.app_energy_mj(uid_a_), 200.0);
   EXPECT_DOUBLE_EQ(stats_.app_energy_mj(uid_b_), 50.0);
 }
 
 TEST_F(ProfilersTest, BatteryStatsScreenIsSeparateRow) {
-  stats_.on_slice(make_slice(100, 0, 200, uid_a_));
+  feed_stats(make_slice(100, 0, 200, uid_a_));
   EXPECT_DOUBLE_EQ(stats_.screen_energy_mj(), 200.0);
   const BatteryView view = stats_.view();
   EXPECT_DOUBLE_EQ(view.energy_of("Screen"), 200.0);
@@ -61,12 +70,12 @@ TEST_F(ProfilersTest, BatteryStatsScreenIsSeparateRow) {
 }
 
 TEST_F(ProfilersTest, BatteryStatsTotalsConserve) {
-  stats_.on_slice(make_slice(100, 50, 200, uid_a_));
+  feed_stats(make_slice(100, 50, 200, uid_a_));
   EXPECT_DOUBLE_EQ(stats_.total_mj(), 100 + 50 + 200 + 10);
 }
 
 TEST_F(ProfilersTest, ViewSortedByEnergyWithPercents) {
-  stats_.on_slice(make_slice(100, 300, 50, uid_a_));
+  feed_stats(make_slice(100, 300, 50, uid_a_));
   const BatteryView view = stats_.view();
   ASSERT_GE(view.rows.size(), 2u);
   EXPECT_EQ(view.rows[0].label, "com.b");
@@ -76,7 +85,7 @@ TEST_F(ProfilersTest, ViewSortedByEnergyWithPercents) {
 }
 
 TEST_F(ProfilersTest, PowerTutorChargesScreenToForeground) {
-  tutor_.on_slice(make_slice(100, 50, 200, uid_a_));
+  feed_tutor(make_slice(100, 50, 200, uid_a_));
   EXPECT_DOUBLE_EQ(tutor_.app_energy_mj(uid_a_), 300.0);
   EXPECT_DOUBLE_EQ(tutor_.component_energy_mj(uid_a_, HwPart::kScreen), 200.0);
   EXPECT_DOUBLE_EQ(tutor_.component_energy_mj(uid_a_, HwPart::kCpu), 100.0);
@@ -84,14 +93,14 @@ TEST_F(ProfilersTest, PowerTutorChargesScreenToForeground) {
 }
 
 TEST_F(ProfilersTest, PowerTutorScreenFollowsForegroundChanges) {
-  tutor_.on_slice(make_slice(0, 0, 100, uid_a_));
-  tutor_.on_slice(make_slice(0, 0, 100, uid_b_));
+  feed_tutor(make_slice(0, 0, 100, uid_a_));
+  feed_tutor(make_slice(0, 0, 100, uid_b_));
   EXPECT_DOUBLE_EQ(tutor_.component_energy_mj(uid_a_, HwPart::kScreen), 100.0);
   EXPECT_DOUBLE_EQ(tutor_.component_energy_mj(uid_b_, HwPart::kScreen), 100.0);
 }
 
 TEST_F(ProfilersTest, PowerTutorUnattributedScreenWithoutForeground) {
-  tutor_.on_slice(make_slice(0, 0, 100, kernelsim::Uid{}));
+  feed_tutor(make_slice(0, 0, 100, kernelsim::Uid{}));
   EXPECT_DOUBLE_EQ(tutor_.total_mj(), 110.0);
   const BatteryView view = tutor_.view();
   EXPECT_DOUBLE_EQ(view.energy_of("Screen"), 100.0);
@@ -104,7 +113,7 @@ TEST_F(ProfilersTest, PowerTutorComponentBreakdown) {
   slice.part(uid_a_, HwPart::kWifi) = 10;
   slice.part(uid_a_, HwPart::kAudio) = 5;
   slice.seal();
-  tutor_.on_slice(slice);
+  feed_tutor(slice);
   EXPECT_DOUBLE_EQ(tutor_.component_energy_mj(uid_a_, HwPart::kCamera), 30.0);
   EXPECT_DOUBLE_EQ(tutor_.component_energy_mj(uid_a_, HwPart::kGps), 20.0);
   EXPECT_DOUBLE_EQ(tutor_.component_energy_mj(uid_a_, HwPart::kWifi), 10.0);
@@ -112,8 +121,8 @@ TEST_F(ProfilersTest, PowerTutorComponentBreakdown) {
 }
 
 TEST_F(ProfilersTest, ResetClearsBoth) {
-  stats_.on_slice(make_slice(100, 50, 200, uid_a_));
-  tutor_.on_slice(make_slice(100, 50, 200, uid_a_));
+  feed_stats(make_slice(100, 50, 200, uid_a_));
+  feed_tutor(make_slice(100, 50, 200, uid_a_));
   stats_.reset();
   tutor_.reset();
   EXPECT_DOUBLE_EQ(stats_.total_mj(), 0.0);
@@ -122,13 +131,13 @@ TEST_F(ProfilersTest, ResetClearsBoth) {
 
 TEST_F(ProfilersTest, BothProfilersAgreeOnGrandTotal) {
   const EnergySlice slice = make_slice(123, 45, 67, uid_b_);
-  stats_.on_slice(slice);
-  tutor_.on_slice(slice);
+  feed_stats(slice);
+  feed_tutor(slice);
   EXPECT_DOUBLE_EQ(stats_.total_mj(), tutor_.total_mj());
 }
 
 TEST_F(ProfilersTest, ViewRendersAllRows) {
-  stats_.on_slice(make_slice(100, 50, 200, uid_a_));
+  feed_stats(make_slice(100, 50, 200, uid_a_));
   const std::string text = stats_.view().render("test");
   EXPECT_NE(text.find("com.a"), std::string::npos);
   EXPECT_NE(text.find("com.b"), std::string::npos);

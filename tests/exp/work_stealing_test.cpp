@@ -3,10 +3,9 @@
 //     worker self-submission (requeue chains), and randomized stealing;
 //   * wait_idle() covers tasks submitted BY tasks, transitively, and
 //     rethrows the first task exception after everything else finishes;
-//   * the executor is reusable across dispatch waves (park/unpark);
-//   * the raw TaskDeque loses nothing under a concurrent owner + thieves;
-//   * ParallelRunner's chunked-submission mode is bitwise identical to
-//     the serial reference (the shared fan-out-granularity satellite).
+//   * the executor is reusable across dispatch waves (park/unpark), and a
+//     task of one executor can drive another;
+//   * the raw TaskDeque loses nothing under a concurrent owner + thieves.
 //
 // This file rides in exp_tests under the `tsan` label: a ThreadSanitizer
 // build executes the same interleavings with race detection on, which is
@@ -21,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "exp/parallel_runner.h"
 #include "exp/work_stealing.h"
 
 namespace eandroid::exp {
@@ -112,6 +110,29 @@ TEST(WorkStealingExecutorTest, ReusableAcrossDispatchWaves) {
   }
 }
 
+TEST(WorkStealingExecutorTest, ATaskCanDriveAnotherExecutor) {
+  // A ParallelRunner job that runs a Fleet: tasks of one executor act as
+  // driver threads of another — bulk submission, self-requeue chains on
+  // the inner workers, and wait_idle, all from an outer worker thread.
+  WorkStealingExecutor outer(2);
+  std::atomic<int> total{0};
+  for (int job = 0; job < 4; ++job) {
+    outer.submit([&total] {
+      WorkStealingExecutor inner(2);
+      std::function<void(int)> link = [&](int left) {
+        total.fetch_add(1);
+        if (left > 1) inner.submit([&link, left] { link(left - 1); });
+      };
+      std::vector<WorkStealingExecutor::Task> chains;
+      for (int c = 0; c < 8; ++c) chains.push_back([&link] { link(5); });
+      inner.submit_bulk(std::move(chains));
+      inner.wait_idle();
+    });
+  }
+  outer.wait_idle();
+  EXPECT_EQ(total.load(), 4 * 8 * 5);
+}
+
 TEST(TaskDequeTest, OwnerAndThievesPartitionTheTasks) {
   // One owner pushes/pops, three thieves steal concurrently; every
   // pushed value is consumed exactly once across the four threads.
@@ -153,41 +174,6 @@ TEST(TaskDequeTest, OwnerAndThievesPartitionTheTasks) {
 
   for (int i = 0; i < kValues; ++i) {
     ASSERT_EQ(seen[i].load(), 1) << "value " << i;
-  }
-}
-
-TEST(ParallelRunnerChunkTest, ChunkedRunMatchesSerialBitwise) {
-  constexpr std::size_t kJobs = 512;
-  std::vector<ParallelRunner<std::string>::Job> jobs;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    jobs.push_back([i] { return "job-" + std::to_string(i * i); });
-  }
-  const std::vector<std::string> serial =
-      ParallelRunner<std::string>::run_serial(jobs);
-  RunnerOptions options;
-  options.threads = 4;
-  options.chunk = 16;
-  EXPECT_EQ(ParallelRunner<std::string>(options).run(jobs), serial);
-  options.chunk = 1000;  // one block holds everything
-  EXPECT_EQ(ParallelRunner<std::string>(options).run(jobs), serial);
-}
-
-TEST(ParallelRunnerChunkTest, ChunkedRunRethrowsLowestIndexError) {
-  std::vector<ParallelRunner<int>::Job> jobs;
-  for (int i = 0; i < 64; ++i) {
-    jobs.push_back([i]() -> int {
-      if (i == 11 || i == 50) throw std::runtime_error(std::to_string(i));
-      return i;
-    });
-  }
-  RunnerOptions options;
-  options.threads = 3;
-  options.chunk = 8;
-  try {
-    ParallelRunner<int>(options).run(std::move(jobs));
-    FAIL() << "expected a job exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "11");
   }
 }
 

@@ -1,24 +1,27 @@
-// The work-stealing scheduler's contract: flipping FleetOptions away
-// from lockstep changes throughput and memory, never results.
+// The fleet scheduler's contract: worker counts, grains, consolidation
+// and hibernation change throughput and memory, never results.
 //
-//   * digests are bitwise identical to lockstep across worker counts,
-//     advance grains, and multi-call run_for timelines;
-//   * with tracing on, the per-device trace BYTES match lockstep too
-//     (consolidation only triggers with tracing off);
+//   * digests are bitwise identical to the serial reference (each device
+//     built alone and driven window by window with run_serially) across
+//     worker counts, advance grains, and multi-call run_for timelines;
+//   * with tracing on, the per-device trace BYTES match the serial
+//     reference too (consolidation only triggers with tracing off);
 //   * hibernation (snapshot → evict → replay-restore) is digest-invariant
 //     across eviction schedules, and restoring a parked device rebuilds
 //     bit-identical state;
 //   * devices handed out via device(i) are pinned: external mutations
 //     survive (they are never replayed away);
-//   * campaign mutation after an async start is a checked error.
+//   * campaign mutation after start is a checked error.
 //
 // Runs under the tsan label with multi-worker fleets: the executor's
 // deques, the broker's frozen read path, and the hibernation LRU are the
 // entire race surface.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/demo_app.h"
@@ -66,70 +69,96 @@ FleetOptions base_options(int devices) {
   options.device_count = devices;
   options.install_plan = campaign_plan();
   options.epoch = sim::seconds(2);
-  options.shards = 2;
+  options.workers = 2;
   return options;
 }
 
-/// Runs the shared two-leg timeline (two run_for calls, so windows span
-/// multiple dispatches) and returns the digests.
+/// The shared two-leg timeline: two run_for calls, so windows span
+/// multiple dispatches.
+constexpr sim::Duration kLegs[] = {sim::seconds(7), sim::seconds(5)};
+
+/// Runs the shared timeline on a fleet and returns the digests.
 std::vector<std::string> run_fleet(FleetOptions options) {
   Fleet fleet(std::move(options));
   fleet.broker().add_campaign(flood_campaign(/*pushes_per_device=*/8));
   fleet.start();
-  fleet.run_for(sim::seconds(7));
-  fleet.run_for(sim::seconds(5));
+  for (const sim::Duration leg : kLegs) fleet.run_for(leg);
   fleet.finish();
   return fleet.energy_digests();
 }
 
-TEST(FleetAsyncTest, DigestsMatchLockstepAcrossWorkerCountsAndGrains) {
-  const std::vector<std::string> lockstep = run_fleet(base_options(16));
-  ASSERT_EQ(lockstep.size(), 16u);
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    FleetOptions options = base_options(16);
-    options.scheduler = Scheduler::kWorkStealing;
-    options.workers = workers;
-    EXPECT_EQ(run_fleet(options), lockstep) << "workers=" << workers;
+/// The serial reference: every device of `options` built alone and driven
+/// through `legs` with run_serially. Returns the digests, and the trace
+/// texts when the options trace.
+std::pair<std::vector<std::string>, std::vector<std::string>> run_serial(
+    const FleetOptions& options, const PushCampaign& campaign,
+    std::initializer_list<sim::Duration> legs) {
+  PushBroker broker;
+  broker.add_campaign(campaign);
+  std::vector<std::string> digests;
+  std::vector<std::string> traces;
+  for (int i = 0; i < options.device_count; ++i) {
+    DeviceContext device(device_spec(options, i));
+    device.start();
+    for (const sim::Duration leg : legs) {
+      run_serially(device, i, broker, leg, options.epoch);
+    }
+    device.finish();
+    digests.push_back(device.energy_digest());
+    traces.push_back(device.trace_text());
   }
-  FleetOptions fine_grain = base_options(16);
-  fine_grain.scheduler = Scheduler::kWorkStealing;
-  fine_grain.workers = 3;
-  fine_grain.advance_grain_windows = 1;
-  EXPECT_EQ(run_fleet(fine_grain), lockstep);
+  return {digests, traces};
 }
 
-TEST(FleetAsyncTest, TraceBytesMatchLockstep) {
-  // Tracing disables window consolidation, so the async scheduler must
-  // emit the exact per-window mark sequence the lockstep driver does.
-  const auto run = [](Scheduler scheduler) {
-    FleetOptions options = base_options(6);
-    options.scheduler = scheduler;
-    options.workers = 3;
-    options.obs.trace = true;
-    Fleet fleet(options);
-    fleet.broker().add_campaign(flood_campaign(5));
-    fleet.start();
-    fleet.run_for(sim::seconds(9));
-    fleet.finish();
-    std::vector<std::string> traces;
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-      traces.push_back(fleet.device(i).trace_text());
-    }
-    return traces;
-  };
-  EXPECT_EQ(run(Scheduler::kLockstep), run(Scheduler::kWorkStealing));
+std::vector<std::string> serial_digests(int devices) {
+  return run_serial(base_options(devices), flood_campaign(8),
+                    {kLegs[0], kLegs[1]})
+      .first;
+}
+
+TEST(FleetAsyncTest, DigestsMatchSerialReferenceAcrossWorkerCountsAndGrains) {
+  const std::vector<std::string> reference = serial_digests(16);
+  ASSERT_EQ(reference.size(), 16u);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    FleetOptions options = base_options(16);
+    options.workers = workers;
+    EXPECT_EQ(run_fleet(options), reference) << "workers=" << workers;
+  }
+  FleetOptions fine_grain = base_options(16);
+  fine_grain.workers = 3;
+  fine_grain.advance_grain_windows = 1;
+  EXPECT_EQ(run_fleet(fine_grain), reference);
+}
+
+TEST(FleetAsyncTest, TraceBytesMatchSerialReference) {
+  // Tracing disables window consolidation, so the fleet must emit the
+  // exact per-window mark sequence the serial loop does.
+  FleetOptions options = base_options(6);
+  options.workers = 3;
+  options.obs.trace = true;
+  Fleet fleet(options);
+  fleet.broker().add_campaign(flood_campaign(5));
+  fleet.start();
+  fleet.run_for(sim::seconds(9));
+  fleet.finish();
+  std::vector<std::string> traces;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    traces.push_back(fleet.device(i).trace_text());
+  }
+  const std::vector<std::string> reference =
+      run_serial(options, flood_campaign(5), {sim::seconds(9)}).second;
+  ASSERT_FALSE(reference[0].empty());
+  EXPECT_EQ(traces, reference);
 }
 
 TEST(FleetAsyncTest, HibernationIsDigestInvariantAcrossEvictionSchedules) {
-  const std::vector<std::string> lockstep = run_fleet(base_options(12));
+  const std::vector<std::string> reference = serial_digests(12);
   for (const int cap : {1, 3, 12}) {
     for (const int grain : {1, 8}) {
       FleetOptions options = base_options(12);
-      options.scheduler = Scheduler::kWorkStealing;
-      options.workers = 2;
       options.max_resident_devices = cap;
       options.advance_grain_windows = grain;
-      EXPECT_EQ(run_fleet(options), lockstep)
+      EXPECT_EQ(run_fleet(options), reference)
           << "cap=" << cap << " grain=" << grain;
     }
   }
@@ -137,8 +166,6 @@ TEST(FleetAsyncTest, HibernationIsDigestInvariantAcrossEvictionSchedules) {
 
 TEST(FleetAsyncTest, HibernationParksDevicesAndRestoresByReplay) {
   FleetOptions options = base_options(10);
-  options.scheduler = Scheduler::kWorkStealing;
-  options.workers = 2;
   options.max_resident_devices = 3;
   Fleet fleet(options);
   fleet.broker().add_campaign(flood_campaign(8));
@@ -170,8 +197,8 @@ TEST(FleetAsyncTest, HibernationParksDevicesAndRestoresByReplay) {
 TEST(FleetAsyncTest, TouchedDevicesArePinnedNotReplayedAway) {
   // Mutating a device through device(i) mid-run must stick: the fleet
   // pins it instead of reconstructing it by replay (which would lose the
-  // mutation). Both schedulers get the same mid-run poke; digests for
-  // every device — including the poked one — must still match.
+  // mutation). A hibernating and a plain fleet get the same mid-run poke;
+  // digests for every device — including the poked one — must match.
   const auto run = [](FleetOptions options, bool poke) {
     Fleet fleet(std::move(options));
     fleet.broker().add_campaign(flood_campaign(6));
@@ -191,13 +218,11 @@ TEST(FleetAsyncTest, TouchedDevicesArePinnedNotReplayedAway) {
     return fleet.energy_digests();
   };
   FleetOptions hib = base_options(8);
-  hib.scheduler = Scheduler::kWorkStealing;
-  hib.workers = 2;
   hib.max_resident_devices = 2;
-  const std::vector<std::string> lockstep = run(base_options(8), true);
-  EXPECT_EQ(run(std::move(hib), true), lockstep);
+  const std::vector<std::string> plain = run(base_options(8), true);
+  EXPECT_EQ(run(std::move(hib), true), plain);
   // Sanity: the poke was observable at all.
-  EXPECT_NE(lockstep[2], run(base_options(8), false)[2]);
+  EXPECT_NE(plain[2], run(base_options(8), false)[2]);
 }
 
 TEST(FleetAsyncTest, AggregateWorksOnAHibernatingFleet) {
@@ -210,33 +235,22 @@ TEST(FleetAsyncTest, AggregateWorksOnAHibernatingFleet) {
     return aggregate_fleet(fleet).digest();
   };
   FleetOptions hib = base_options(6);
-  hib.scheduler = Scheduler::kWorkStealing;
-  hib.workers = 2;
   hib.max_resident_devices = 2;
   EXPECT_EQ(report_digest(std::move(hib)), report_digest(base_options(6)));
 }
 
 TEST(FleetAsyncTest, CampaignAfterAsyncStartIsACheckedError) {
-  FleetOptions options = base_options(2);
-  options.scheduler = Scheduler::kWorkStealing;
-  Fleet fleet(options);
+  Fleet fleet(base_options(2));
   fleet.broker().add_campaign(flood_campaign(2));
   fleet.start();
   EXPECT_THROW(fleet.broker().add_campaign(flood_campaign(2)),
                sim::CheckFailure);
-  // Lockstep keeps the old latitude: no freeze, no error.
-  Fleet lockstep(base_options(2));
-  lockstep.broker().add_campaign(flood_campaign(2));
-  lockstep.start();
-  lockstep.broker().add_campaign(flood_campaign(2));
 }
 
 TEST(FleetAsyncTest, ConsolidationSkipsSendlessWindows) {
   // A campaign confined to the first seconds of a long run leaves a tail
   // of sendless windows; with tracing off the scheduler must fold them.
   FleetOptions options = base_options(4);
-  options.scheduler = Scheduler::kWorkStealing;
-  options.workers = 2;
   Fleet fleet(options);
   PushCampaign campaign = flood_campaign(3);
   fleet.broker().add_campaign(campaign);
@@ -246,14 +260,10 @@ TEST(FleetAsyncTest, ConsolidationSkipsSendlessWindows) {
   const obs::MetricsSnapshot metrics = fleet.scheduler_metrics();
   ASSERT_NE(metrics.find("fleet.sched.windows_consolidated"), nullptr);
   EXPECT_GT(metrics.find("fleet.sched.windows_consolidated")->count, 0u);
-  // Consolidated or not, the digests match the lockstep reference.
-  FleetOptions reference = base_options(4);
-  Fleet lockstep(reference);
-  lockstep.broker().add_campaign(campaign);
-  lockstep.start();
-  lockstep.run_for(sim::seconds(60));
-  lockstep.finish();
-  EXPECT_EQ(fleet.energy_digests(), lockstep.energy_digests());
+  // Consolidated or not, the digests match the window-by-window serial
+  // reference.
+  EXPECT_EQ(fleet.energy_digests(),
+            run_serial(options, campaign, {sim::seconds(60)}).first);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // The fleet acceptance run: a 1,000-device population runs a
 // 10-simulated-minute push-campaign workload to completion in a single
 // process, and every device's full-precision energy digest is bitwise
-// identical across shard counts {1, 4, 8} and across two repeated runs.
+// identical across worker counts {1, 4, 8} and across two repeated runs.
 //
 // This is the scale contract of the fleet layer — kept out of the tsan
-// label (a sanitized build would multiply the runtime ~20x; the
-// smaller shard-independence tests in fleet_test.cpp cover the race
-// surface under TSan with the same code paths).
+// label (a sanitized build would multiply the runtime ~20x; the smaller
+// worker-independence tests in fleet_test.cpp cover the race surface
+// under TSan with the same code paths).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -39,10 +39,10 @@ std::shared_ptr<const InstallPlan> campaign_plan() {
   return plan;
 }
 
-std::vector<std::string> run_campaign(int shards) {
+std::vector<std::string> run_campaign(unsigned workers) {
   FleetOptions options;
   options.device_count = kDevices;
-  options.shards = shards;
+  options.workers = workers;
   options.epoch = sim::seconds(10);
   options.install_plan = campaign_plan();
   Fleet fleet(options);
@@ -64,15 +64,15 @@ std::vector<std::string> run_campaign(int shards) {
   return fleet.energy_digests();
 }
 
-TEST(FleetCampaignTest, ThousandDevicesShardAndRepeatInvariant) {
-  const std::vector<std::string> shard1 = run_campaign(1);
-  ASSERT_EQ(shard1.size(), static_cast<std::size_t>(kDevices));
+TEST(FleetCampaignTest, ThousandDevicesWorkerAndRepeatInvariant) {
+  const std::vector<std::string> workers1 = run_campaign(1);
+  ASSERT_EQ(workers1.size(), static_cast<std::size_t>(kDevices));
   // No empty digests, and stagger makes devices distinct populations.
-  EXPECT_FALSE(shard1.front().empty());
-  EXPECT_NE(shard1.front(), shard1.back());
+  EXPECT_FALSE(workers1.front().empty());
+  EXPECT_NE(workers1.front(), workers1.back());
 
-  const std::vector<std::string> shard4 = run_campaign(4);
-  const std::vector<std::string> shard8 = run_campaign(8);
+  const std::vector<std::string> workers4 = run_campaign(4);
+  const std::vector<std::string> workers8 = run_campaign(8);
   const std::vector<std::string> repeat = run_campaign(4);
 
   // Per-device, bitwise. EXPECT_EQ on the vectors would drown the log on
@@ -80,17 +80,17 @@ TEST(FleetCampaignTest, ThousandDevicesShardAndRepeatInvariant) {
   int mismatches = 0;
   for (int i = 0; i < kDevices && mismatches < 3; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    EXPECT_EQ(shard1[idx], shard4[idx]) << "device " << i << " (1 vs 4)";
-    EXPECT_EQ(shard1[idx], shard8[idx]) << "device " << i << " (1 vs 8)";
-    EXPECT_EQ(shard4[idx], repeat[idx]) << "device " << i << " (repeat)";
-    if (shard1[idx] != shard4[idx] || shard1[idx] != shard8[idx] ||
-        shard4[idx] != repeat[idx]) {
+    EXPECT_EQ(workers1[idx], workers4[idx]) << "device " << i << " (1 vs 4)";
+    EXPECT_EQ(workers1[idx], workers8[idx]) << "device " << i << " (1 vs 8)";
+    EXPECT_EQ(workers4[idx], repeat[idx]) << "device " << i << " (repeat)";
+    if (workers1[idx] != workers4[idx] || workers1[idx] != workers8[idx] ||
+        workers4[idx] != repeat[idx]) {
       ++mismatches;
     }
   }
-  EXPECT_EQ(shard1, shard4);
-  EXPECT_EQ(shard1, shard8);
-  EXPECT_EQ(shard4, repeat);
+  EXPECT_EQ(workers1, workers4);
+  EXPECT_EQ(workers1, workers8);
+  EXPECT_EQ(workers4, repeat);
 }
 
 }  // namespace

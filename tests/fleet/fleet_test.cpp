@@ -4,14 +4,14 @@
 //   * immutable configuration is genuinely shared: one PowerParams /
 //     Manifest object per fleet, aliased by every device;
 //   * per-device results are a pure function of the spec — bitwise
-//     identical across shard counts, repeated runs, and with faults
+//     identical across worker counts, repeated runs, and with faults
 //     injected on a subset of devices;
 //   * the PushBroker's campaigns deliver deterministically and their
 //     energy lands on the sender's account (collateral attribution).
 //
 // This suite runs under the tsan label: a ThreadSanitizer build executes
-// it with multi-shard fleets to prove the epoch barriers are the only
-// synchronization the devices need.
+// it with multi-worker fleets to prove the per-device task discipline is
+// the only synchronization the devices need.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -64,18 +64,18 @@ PushCampaign flood_campaign(int pushes_per_device) {
   return campaign;
 }
 
-FleetOptions small_fleet_options(int devices, int shards) {
+FleetOptions small_fleet_options(int devices, unsigned workers) {
   FleetOptions options;
   options.device_count = devices;
-  options.shards = shards;
+  options.workers = workers;
   options.install_plan = campaign_plan();
   options.epoch = sim::seconds(2);
   return options;
 }
 
-std::vector<std::string> run_small_campaign(int devices, int shards,
+std::vector<std::string> run_small_campaign(int devices, unsigned workers,
                                             sim::Duration run_time) {
-  Fleet fleet(small_fleet_options(devices, shards));
+  Fleet fleet(small_fleet_options(devices, workers));
   fleet.broker().add_campaign(flood_campaign(/*pushes_per_device=*/8));
   fleet.start();
   fleet.run_for(run_time);
@@ -105,23 +105,8 @@ TEST(DeviceContextTest, IsTheTestbedBitForBit) {
   EXPECT_EQ(drive(testbed), drive(device));
 }
 
-TEST(DeviceContextTest, BaselinePathMatchesHotPath) {
-  const auto run = [](bool hot_path) {
-    DeviceSpec spec;
-    spec.seed = 3;
-    spec.hot_path = hot_path;
-    DeviceContext device(spec);
-    device.install<DemoApp>(apps::message_spec());
-    device.start();
-    device.server().user_launch("com.example.message");
-    device.run_for(sim::seconds(45));
-    return device.energy_digest();
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
 TEST(FleetTest, SharedConfigIsOneObjectPerFleet) {
-  Fleet fleet(small_fleet_options(/*devices=*/4, /*shards=*/2));
+  Fleet fleet(small_fleet_options(/*devices=*/4, /*workers=*/2));
   fleet.start();
   const hw::PowerParams* params =
       fleet.device(0).server().params_ptr().get();
@@ -142,14 +127,14 @@ TEST(FleetTest, SharedConfigIsOneObjectPerFleet) {
             shared_default_engine_config().get());
 }
 
-TEST(FleetTest, DigestsIndependentOfShardCount) {
+TEST(FleetTest, DigestsIndependentOfWorkerCount) {
   const sim::Duration run_time = sim::seconds(12);
   const std::vector<std::string> one =
-      run_small_campaign(/*devices=*/64, /*shards=*/1, run_time);
+      run_small_campaign(/*devices=*/64, /*workers=*/1, run_time);
   const std::vector<std::string> four =
-      run_small_campaign(/*devices=*/64, /*shards=*/4, run_time);
+      run_small_campaign(/*devices=*/64, /*workers=*/4, run_time);
   const std::vector<std::string> eight =
-      run_small_campaign(/*devices=*/64, /*shards=*/8, run_time);
+      run_small_campaign(/*devices=*/64, /*workers=*/8, run_time);
   ASSERT_EQ(one.size(), 64u);
   EXPECT_EQ(one, four);
   EXPECT_EQ(one, eight);
@@ -163,7 +148,7 @@ TEST(FleetTest, RepeatedRunsAreBitIdentical) {
 
 TEST(FleetTest, DigestsIndependentOfEpochLength) {
   const auto run = [](sim::Duration epoch) {
-    FleetOptions options = small_fleet_options(/*devices=*/8, /*shards=*/2);
+    FleetOptions options = small_fleet_options(/*devices=*/8, /*workers=*/2);
     options.epoch = epoch;
     Fleet fleet(options);
     // Off the 250 ms sampler grid: a send colliding to the microsecond
@@ -181,11 +166,11 @@ TEST(FleetTest, DigestsIndependentOfEpochLength) {
   EXPECT_EQ(run(sim::millis(500)), run(sim::seconds(3)));
 }
 
-TEST(FleetTest, ChaosOnASubsetIsShardIndependent) {
+TEST(FleetTest, ChaosOnASubsetIsWorkerCountIndependent) {
   // Faults on every third device, via the same seeded plans the chaos
-  // harness uses; per-device digests must still be sharding-invariant.
-  const auto run = [](int shards) {
-    Fleet fleet(small_fleet_options(/*devices=*/24, shards));
+  // harness uses; per-device digests must still be worker-count-invariant.
+  const auto run = [](unsigned workers) {
+    Fleet fleet(small_fleet_options(/*devices=*/24, workers));
     fleet.broker().add_campaign(flood_campaign(6));
     fleet.start();
     std::vector<std::unique_ptr<sim::FaultInjector>> injectors;
@@ -208,7 +193,7 @@ TEST(FleetTest, ChaosOnASubsetIsShardIndependent) {
 }
 
 TEST(PushBrokerTest, DeliversTheCampaignCountAndChargesTheSender) {
-  Fleet fleet(small_fleet_options(/*devices=*/3, /*shards=*/2));
+  Fleet fleet(small_fleet_options(/*devices=*/3, /*workers=*/2));
   fleet.broker().add_campaign(flood_campaign(/*pushes_per_device=*/10));
   fleet.start();
   fleet.run_for(sim::seconds(30));
@@ -227,7 +212,7 @@ TEST(PushBrokerTest, DeliversTheCampaignCountAndChargesTheSender) {
 }
 
 TEST(PushBrokerTest, StrideTargetsOnlyTheSelectedSlice) {
-  Fleet fleet(small_fleet_options(/*devices=*/4, /*shards=*/2));
+  Fleet fleet(small_fleet_options(/*devices=*/4, /*workers=*/2));
   PushCampaign campaign = flood_campaign(4);
   campaign.device_stride = 2;
   campaign.device_phase = 1;
@@ -294,7 +279,7 @@ TEST(PushBrokerTest, ClosedFormWindowingMatchesBruteForce) {
 TEST(AggregateTest, SumsMatchTheDevicesAndAreDeterministic) {
   const auto build = [] {
     auto fleet = std::make_unique<Fleet>(
-        small_fleet_options(/*devices=*/6, /*shards=*/3));
+        small_fleet_options(/*devices=*/6, /*workers=*/3));
     fleet->broker().add_campaign(flood_campaign(8));
     fleet->start();
     fleet->run_for(sim::seconds(15));

@@ -136,10 +136,13 @@ TEST_F(PowerManagerTest, EventsCarryScreenFlag) {
   ASSERT_NE(acquire, nullptr);
   EXPECT_TRUE(acquire->screen_wakelock);
   EXPECT_EQ(acquire->driving, uid("com.locker"));
+  // Copy the handle now: the release below appends to the log, which may
+  // reallocate and leave `acquire` dangling.
+  const auto acquire_handle = acquire->handle;
   ctx("com.locker").release_wakelock(*lock);
   const FwEvent* release = log.last(FwEventType::kWakelockRelease);
   ASSERT_NE(release, nullptr);
-  EXPECT_EQ(release->handle, acquire->handle);
+  EXPECT_EQ(release->handle, acquire_handle);
 }
 
 TEST_F(PowerManagerTest, ScreenOffEventPublished) {

@@ -1,6 +1,7 @@
 // Negative paths the fuzzer's machinery leans on: every misuse below
 // must fail loudly (EANDROID_CHECK throws in all build types), because a
-// silent clamp or late crash would turn a fuzz failure into noise.
+// silent clamp or late crash would turn a fuzz failure into noise. A
+// legal-looking option mix, by contrast, must simply run.
 #include <gtest/gtest.h>
 
 #include "fleet/fleet.h"
@@ -37,11 +38,10 @@ TEST(CheckedErrorsTest, BrokerMutationAfterFreezeThrows) {
 }
 
 TEST(CheckedErrorsTest, CampaignAfterWorkStealingStartThrows) {
-  // The fleet-level shape of the same rule: start() freezes the broker in
-  // work-stealing mode because workers read campaigns concurrently.
+  // The fleet-level shape of the same rule: start() freezes the broker
+  // because workers read campaigns concurrently.
   fleet::FleetOptions options;
   options.device_count = 2;
-  options.scheduler = fleet::Scheduler::kWorkStealing;
   options.workers = 2;
   options.install_plan = cast_install_plan();
   fleet::Fleet fleet(std::move(options));
@@ -53,17 +53,21 @@ TEST(CheckedErrorsTest, CampaignAfterWorkStealingStartThrows) {
   EXPECT_THROW(fleet.broker().add_campaign(campaign), sim::CheckFailure);
 }
 
-TEST(CheckedErrorsTest, HibernationPlusBatchedCoreThrows) {
-  // The oracle never combines them (armed executor closures could not
-  // survive a park/replay cycle, and the batched core pins group rows for
-  // the fleet's lifetime); the constructor must enforce the same rule.
+TEST(CheckedErrorsTest, HibernationRunsUnderDefaultOptions) {
+  // No legal-looking option mix is a checked error: a hibernating fleet
+  // needs nothing beyond its working-set cap.
   fleet::FleetOptions options;
   options.device_count = 4;
-  options.scheduler = fleet::Scheduler::kWorkStealing;
-  options.core = fleet::FleetCore::kBatched;
   options.max_resident_devices = 2;
   options.install_plan = cast_install_plan();
-  EXPECT_THROW(fleet::Fleet{std::move(options)}, sim::CheckFailure);
+  fleet::Fleet fleet(std::move(options));
+  fleet.start();
+  fleet.run_for(sim::seconds(5));
+  fleet.finish();
+  EXPECT_LE(fleet.resident_devices(), 2u);
+  for (const std::string& digest : fleet.energy_digests()) {
+    EXPECT_FALSE(digest.empty());
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Corpus replay: every committed reproducer under tests/fuzz/corpus/ is
 // parsed, grammar-checked, and replayed through the FULL stacked oracle,
 // forever. A program lands here because it once broke (or was hand-built
-// to stress) an equivalence leg — this suite is the regression ratchet
-// that keeps those scenarios green.
+// to stress) an oracle leg — this suite is the regression ratchet that
+// keeps those scenarios green.
 #include <gtest/gtest.h>
 
 #include <filesystem>

@@ -139,6 +139,16 @@ TEST(ProgramTest, ParseRejectsGarbageWithLineNumbers) {
     EXPECT_FALSE(ScenarioProgram::parse(text, &out, &error));
     EXPECT_NE(error.find("line"), std::string::npos) << error;
   }
+
+  // Hostile step counts: rejected at the first missing step line, never
+  // by an exception out of an allocation sized from the header.
+  for (const std::string count : {"18446744073709551615", "4000000000000"}) {
+    const std::string hostile =
+        "eandroid-fuzz-program v1\nseed 1\nhorizon_us 1000000\nsteps " +
+        count + "\nend\n";
+    EXPECT_FALSE(ScenarioProgram::parse(hostile, &out, &error)) << count;
+    EXPECT_NE(error.find("line 5"), std::string::npos) << error;
+  }
 }
 
 TEST(ProgramTest, ParseSkipsComments) {

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstddef>
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "apps/demo_app.h"
@@ -34,6 +35,12 @@ struct NamedScenario {
   const char* name;
   ScenarioFn fn;
 };
+
+// ctest names each discovered test after the printed parameter (as in
+// the other sweeps below: .../attack1). Without a printer gtest prints
+// the raw bytes, two pointers that move with every load of the binary,
+// so the test names would change from one build to the next.
+void PrintTo(const NamedScenario& s, std::ostream* os) { *os << s.name; }
 
 constexpr std::array<NamedScenario, 12> kAllScenarios = {{
     {"scene1", run_scene1},
@@ -85,11 +92,8 @@ TEST_P(ScenarioSweep, UpholdsGlobalInvariants) {
   EXPECT_GE(r.windows_opened, r.windows_closed);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllScenarios, ScenarioSweep, ::testing::ValuesIn(kAllScenarios),
-    [](const ::testing::TestParamInfo<NamedScenario>& info) {
-      return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(AllScenarios, ScenarioSweep,
+                         ::testing::ValuesIn(kAllScenarios));
 
 // --- attack #5: collateral monotone in the escalation level ---------------
 

@@ -5,9 +5,8 @@
 //     trace is an independent record the meters can be validated
 //     against, in the spirit of arxiv 1701.07095);
 //   * trace bytes and metrics snapshots are bitwise identical across
-//     fleet shard counts {1, 4, 8} and across the hot-vs-baseline
-//     metering paths — observability output is a pure function of the
-//     simulated history, never of how it was executed;
+//     fleet worker counts {1, 4, 8} — observability output is a pure
+//     function of the simulated history, never of how it was executed;
 //   * tracing a chaos run moves no bit of its digest.
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 
 #include "apps/chaos.h"
 #include "apps/demo_app.h"
-#include "apps/testbed.h"
 #include "fleet/aggregate.h"
 #include "fleet/fleet.h"
 #include "obs/export.h"
@@ -101,7 +99,7 @@ TEST(TraceResummationTest, TracingMovesNoBitOfTheChaosDigest) {
   }
 }
 
-// --- Shard invariance ----------------------------------------------------
+// --- Worker-count invariance ---------------------------------------------
 
 /// The fleet_test campaign cast, traced.
 std::shared_ptr<const fleet::InstallPlan> campaign_plan() {
@@ -123,10 +121,10 @@ struct FleetObsOutput {
   std::string report_digest;         // includes the merged metrics table
 };
 
-FleetObsOutput run_traced_fleet(int shards) {
+FleetObsOutput run_traced_fleet(unsigned workers) {
   fleet::FleetOptions options;
   options.device_count = 12;
-  options.shards = shards;
+  options.workers = workers;
   options.install_plan = campaign_plan();
   options.epoch = sim::seconds(2);
   options.obs.trace = true;
@@ -153,7 +151,7 @@ FleetObsOutput run_traced_fleet(int shards) {
   return out;
 }
 
-TEST(ShardInvarianceTest, TraceBytesAndMetricsIdenticalAcrossShardCounts) {
+TEST(WorkerInvarianceTest, TraceBytesAndMetricsIdenticalAcrossWorkerCounts) {
   const FleetObsOutput one = run_traced_fleet(1);
   const FleetObsOutput four = run_traced_fleet(4);
   const FleetObsOutput eight = run_traced_fleet(8);
@@ -167,32 +165,6 @@ TEST(ShardInvarianceTest, TraceBytesAndMetricsIdenticalAcrossShardCounts) {
   // comparison covers the population-level render too.
   EXPECT_EQ(one.report_digest, four.report_digest);
   EXPECT_EQ(one.report_digest, eight.report_digest);
-}
-
-// --- Hot-vs-baseline invariance -----------------------------------------
-
-TEST(HotBaselineTest, TraceBytesAndMetricsIdenticalAcrossMeteringPaths) {
-  const auto run = [](bool hot_path) {
-    apps::TestbedOptions options;
-    options.seed = 9;
-    options.hot_path = hot_path;
-    options.obs.trace = true;
-    options.obs.trace_capacity = 1u << 18;
-    apps::Testbed bed(options);
-    bed.install<DemoApp>(apps::victim_spec());
-    bed.start();
-    bed.server().user_launch(apps::victim_spec().package);
-    bed.sim().run_for(sim::seconds(10));
-    bed.server().simulate_incoming_call(sim::seconds(5));
-    bed.run_for(sim::seconds(25));
-    return std::make_pair(bed.trace_text(),
-                          bed.metrics_snapshot().render());
-  };
-  const auto hot = run(true);
-  const auto baseline = run(false);
-  EXPECT_FALSE(hot.first.empty());
-  EXPECT_EQ(hot.first, baseline.first);
-  EXPECT_EQ(hot.second, baseline.second);
 }
 
 }  // namespace
