@@ -17,7 +17,7 @@
 namespace eandroid::energy {
 
 /// Fed by the MeteringPipeline (energy/pipeline.h): bind_ids, then
-/// fold_columns and fold_tail once per slice.
+/// fold_app per active app and fold_tail once per slice.
 class BatteryStats {
  public:
   explicit BatteryStats(const framework::PackageManager& packages)
@@ -27,20 +27,11 @@ class BatteryStats {
     assert(ids_ == nullptr || ids_ == &ids);
     ids_ = &ids;
   }
-  /// Dense column fold over all `n` cells of a sealed slice's part
-  /// columns (EnergySlice::TouchedView). Equal to adding each active
-  /// app's slice.sum_at(): untouched cells are exact +0.0, the per-cell
-  /// association is the same cpu+camera+gps+wifi+audio as sum_at(), and
-  /// app_mj_ never holds -0.0, so the extra `+= +0.0` terms are bitwise
-  /// no-ops. Straight-line over disjoint arrays — vectorises.
-  void fold_columns(const double* cpu, const double* camera,
-                    const double* gps, const double* wifi,
-                    const double* audio, std::size_t n) {
-    if (app_mj_.size() < n) app_mj_.resize(n, 0.0);
-    double* out = app_mj_.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] += cpu[i] + camera[i] + gps[i] + wifi[i] + audio[i];
-    }
+  /// Adds one active app's direct energy: its canonical part-order sum,
+  /// cpu+camera+gps+wifi+audio, as slice.sum_at() associates it.
+  void fold_app(kernelsim::AppIdx idx, double direct_mj) {
+    if (app_mj_.size() <= idx) app_mj_.resize(idx + 1, 0.0);
+    app_mj_[idx] += direct_mj;
   }
   /// Per-slice tail: the policy rows (screen stays its own row here).
   void fold_tail(const EnergySlice& slice) {

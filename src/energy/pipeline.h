@@ -1,14 +1,12 @@
 // MeteringPipeline: the fused fold stage of the metering tick.
 //
-// One incremental pass over the sealed slice's touched cells feeds every
-// built-in accumulator: the touched view exposes the slice's five SoA
-// column base pointers. Accumulators that are themselves dense part
-// columns (BatteryStats, PowerTutor) fold as straight-line column sweeps
-// over ALL cells — no gather, no per-cell branch, the shape the
-// vectorizer wants; sweeping past untouched cells is bit-safe because
-// they are exact +0.0 (see TouchedView). The sparse accumulator (the
-// engine's per-app integration with its routine rows) rides an
-// active-list walk that loads each touched app's five parts once.
+// One walk over the sealed slice's active apps feeds every built-in
+// accumulator: the touched view hoists the slice's five SoA column base
+// pointers, each active app's five parts are loaded once, and the walk
+// adds them into BatteryStats (one part-order sum per app), PowerTutor
+// (five part columns) and the engine's DirectStore (part and routine
+// rows plus the battery ground truth). A metering tick has one or two
+// active apps, so the walk costs O(active), not O(apps ever seen).
 //
 // Fold-order contract: every accumulator receives its operands in one
 // fixed order — per-part adds in part order, apps ascending (seal()'s
@@ -87,8 +85,8 @@ class MeteringPipeline {
     engine_stage_ = stage;
   }
 
-  /// One pass over the sealed slice: prepare stage, fused cell loop over
-  /// the touched view, then the per-slice tails (engine collateral,
+  /// One pass over the sealed slice: prepare stage, the fused walk over
+  /// the active apps, then the per-slice tails (engine collateral,
   /// BatteryStats, PowerTutor).
   void run(const EnergySlice& slice);
 

@@ -18,7 +18,7 @@
 namespace eandroid::energy {
 
 /// Fed by the MeteringPipeline (energy/pipeline.h): bind_ids, then
-/// fold_columns and fold_tail once per slice.
+/// fold_app per active app and fold_tail once per slice.
 class PowerTutor {
  public:
   explicit PowerTutor(const framework::PackageManager& packages)
@@ -28,21 +28,21 @@ class PowerTutor {
     assert(ids_ == nullptr || ids_ == &ids);
     ids_ = &ids;
   }
-  /// Dense column fold over all `n` cells of a sealed slice's part
-  /// columns (EnergySlice::TouchedView): five independent accumulator
-  /// sweeps, one per part. Each touched cell receives exactly one add,
-  /// untouched cells add an exact +0.0 into accumulators that never hold
-  /// -0.0, and cells are disjoint so the cross-app interleaving cannot
-  /// matter.
-  void fold_columns(const double* cpu, const double* camera,
-                    const double* gps, const double* wifi,
-                    const double* audio, std::size_t n) {
-    ensure(n);
-    fold_column(cpu_, cpu, n);
-    fold_column(camera_, camera, n);
-    fold_column(gps_, gps, n);
-    fold_column(wifi_, wifi, n);
-    fold_column(audio_, audio, n);
+  /// Adds one active app's five direct parts, one add per part column.
+  void fold_app(kernelsim::AppIdx idx, double cpu, double camera, double gps,
+                double wifi, double audio) {
+    if (cpu_.size() <= idx) {
+      cpu_.resize(idx + 1, 0.0);
+      camera_.resize(idx + 1, 0.0);
+      gps_.resize(idx + 1, 0.0);
+      wifi_.resize(idx + 1, 0.0);
+      audio_.resize(idx + 1, 0.0);
+    }
+    cpu_[idx] += cpu;
+    camera_[idx] += camera;
+    gps_[idx] += gps;
+    wifi_[idx] += wifi;
+    audio_[idx] += audio;
   }
   /// Per-slice tail: the foreground screen policy plus the system row.
   void fold_tail(const EnergySlice& slice);
@@ -58,20 +58,6 @@ class PowerTutor {
   void reset();
 
  private:
-  void ensure(std::size_t n) {
-    if (cpu_.size() >= n) return;
-    cpu_.resize(n, 0.0);
-    camera_.resize(n, 0.0);
-    gps_.resize(n, 0.0);
-    wifi_.resize(n, 0.0);
-    audio_.resize(n, 0.0);
-  }
-  static void fold_column(std::vector<double>& acc, const double* col,
-                          std::size_t n) {
-    double* out = acc.data();
-    for (std::size_t i = 0; i < n; ++i) out[i] += col[i];
-  }
-
   [[nodiscard]] double screen_mj_of(kernelsim::Uid uid) const;
   /// Canonical part-order association, matching slice.sum_at().
   [[nodiscard]] double direct_sum_of(kernelsim::AppIdx idx) const {
@@ -84,8 +70,7 @@ class PowerTutor {
   /// first slice (all slices must share a table).
   const kernelsim::IdTable* ids_ = nullptr;
   /// Direct (non-screen) energy as structure-of-arrays part columns,
-  /// dense by AppIdx — the same layout as the slice, so the pipeline
-  /// folds slice columns into these with straight-line loops.
+  /// dense by AppIdx — the same layout as the slice.
   std::vector<double> cpu_, camera_, gps_, wifi_, audio_;
   /// Screen energy billed by the foreground policy; sorted ascending by
   /// uid (the foreground app may never appear in the interner, so this

@@ -55,16 +55,62 @@ void EnergySampler::stop() {
 
 void EnergySampler::flush() { tick(); }
 
-void EnergySampler::gather(sim::TimePoint now, double window_s) {
+bool EnergySampler::gather(sim::TimePoint now, sim::Duration window) {
+  // Close the CPU window first: whether it was reused decides whether the
+  // rest can be.
+  const kernelsim::CpuWindow& cpu = server_.cpu().sample_window();
+  const bool suspended = server_.cpu().suspended();
+
+  // The scalars read every tick. They are compared by value: the forced
+  // flag moves with the user-activity timeout, which no counter sees.
+  const hw::Screen& screen = server_.screen();
+  const bool screen_on = screen.on();
+  const int brightness = screen.brightness();
+  const double screen_mw = screen.power_mw();
+  const kernelsim::Uid foreground = server_.activities().foreground_uid();
+  // Wakelock state only matters while the screen is up, and the owner
+  // list only while wakelocks are what keeps it up — don't pay for the
+  // queries in the dark.
+  bool forced = false;
+  if (screen_on) forced = server_.power().screen_forced_by_wakelock();
+  if (forced) {
+    server_.power().screen_wakelock_owners_into(owners_);
+  } else {
+    owners_.clear();
+  }
+
+  const hw::SessionComponent* const components[kComponents] = {
+      &server_.camera(), &server_.gps(), &server_.wifi(), &server_.audio()};
+  bool components_kept = true;
+  for (int i = 0; i < kComponents; ++i) {
+    components_kept = components_kept && component_marks_[i].stable &&
+                      components[i]->generation() ==
+                          component_marks_[i].generation;
+  }
+
+  if (slice_valid_ && server_.cpu().window_reused() && components_kept &&
+      suspended == built_suspended_ && window == built_window_ &&
+      screen_on == slice_.screen_on && brightness == slice_.brightness &&
+      screen_mw == built_screen_mw_ && foreground == slice_.foreground &&
+      forced == slice_.screen_forced_by_wakelock &&
+      owners_ == slice_.screen_wakelock_owners) {
+    // A full pass would rebuild the same cells in the same order: keep
+    // the sealed slice and move its window.
+    slice_.begin = window_begin_;
+    slice_.end = now;
+    window_begin_ = now;
+    ++gathers_reused_;
+    return true;
+  }
+
   // P[mW] * t[s] = E[mJ].
+  const double window_s = window.seconds();
   auto mj_of = [window_s](double mw) { return mw * window_s; };
 
   slice_.reset(window_begin_, now);
   window_begin_ = now;
 
   // --- CPU ---
-  const kernelsim::CpuWindow& cpu = server_.cpu().sample_window();
-  const bool suspended = server_.cpu().suspended();
   slice_.system_mj += mj_of(suspended ? params_.cpu_suspend_mw
                                       : params_.cpu_idle_awake_mw);
   if (cpu.total_utilization > 0.0) {
@@ -83,37 +129,35 @@ void EnergySampler::gather(sim::TimePoint now, double window_s) {
   }
 
   // --- Session components ---
-  const auto charge = [&](const hw::SessionComponent& component, HwPart p) {
-    component.breakdown_into(breakdown_);
+  constexpr HwPart kComponentParts[kComponents] = {
+      HwPart::kCamera, HwPart::kGps, HwPart::kWifi, HwPart::kAudio};
+  for (int i = 0; i < kComponents; ++i) {
+    components[i]->breakdown_into(breakdown_);
     double attributed = 0.0;
     // by_uid is sorted ascending: canonical accumulation order.
     for (const auto& [uid, mw] : breakdown_.by_uid) {
-      slice_.part(uid, p) += mj_of(mw);
+      slice_.part(uid, kComponentParts[i]) += mj_of(mw);
       attributed += mw;
     }
     slice_.system_mj += mj_of(breakdown_.total_mw - attributed);
-  };
-  charge(server_.camera(), HwPart::kCamera);
-  charge(server_.gps(), HwPart::kGps);
-  charge(server_.wifi(), HwPart::kWifi);
-  charge(server_.audio(), HwPart::kAudio);
+    component_marks_[i] = {components[i]->generation(),
+                           components[i]->time_stable()};
+  }
 
   // --- Screen (policy applied by sinks) ---
-  slice_.screen_on = server_.screen().on();
-  slice_.brightness = server_.screen().brightness();
-  slice_.screen_mj = mj_of(server_.screen().power_mw());
-  slice_.foreground = server_.activities().foreground_uid();
-  // Wakelock state only matters while the screen is up, and the owner
-  // list only while wakelocks are what keeps it up — don't pay for the
-  // queries (or the owner copy) in the dark.
-  if (slice_.screen_on) {
-    slice_.screen_forced_by_wakelock =
-        server_.power().screen_forced_by_wakelock();
-    if (slice_.screen_forced_by_wakelock) {
-      server_.power().screen_wakelock_owners_into(
-          slice_.screen_wakelock_owners);
-    }
-  }
+  slice_.screen_on = screen_on;
+  slice_.brightness = brightness;
+  slice_.screen_mj = mj_of(screen_mw);
+  slice_.foreground = foreground;
+  slice_.screen_forced_by_wakelock = forced;
+  // reset() emptied the slice's list; the swap keeps both capacities.
+  slice_.screen_wakelock_owners.swap(owners_);
+
+  built_suspended_ = suspended;
+  built_window_ = window;
+  built_screen_mw_ = screen_mw;
+  slice_valid_ = true;
+  return false;
 }
 
 void EnergySampler::fold() {
@@ -131,14 +175,17 @@ void EnergySampler::tick() {
 
   const clock::time_point t0 = stage_timing_ ? clock::now()
                                              : clock::time_point{};
-  gather(now, window.seconds());
-  slice_.seal();
+  // A kept slice is still sealed, and its total is the one computed when
+  // it was built. total_mj() is a pure fold over the sealed slice —
+  // computed once, reused by the battery, trace marker and metrics below.
+  if (!gather(now, window)) {
+    slice_.seal();
+    total_mj_ = slice_.total_mj();
+  }
+  const double total_mj = total_mj_;
 
   // Net battery flow: consumption always drains; a connected charger
-  // back-fills at its rate over the same window. total_mj() is a pure
-  // fold over the sealed slice — computed once, reused by the trace
-  // marker and metrics below.
-  const double total_mj = slice_.total_mj();
+  // back-fills at its rate over the same window.
   server_.battery().drain(total_mj, now);
   if (server_.battery().charging()) {
     server_.battery().charge(server_.battery().charge_rate_mw() *

@@ -15,11 +15,22 @@
 // registered with add_sink (Eprof, timeline recorders, detectors, test
 // sinks).
 //
+// GATHER is change-driven: a tick pays only for what changed since the
+// previous one. The CPU window is closed first; if the scheduler reused
+// it (kernel/cpu_sched.h), the four session components report no call
+// since the last build and no tail running down (hw/session_component.h),
+// and the scalars compared by value — suspended flag, window length,
+// screen on, brightness, screen power, foreground uid, and the
+// wakelock-forced flag with its owner list — all match, then the sealed
+// slice and its total are kept and only begin/end move. Battery drain,
+// FOLD, the trace mark and the metrics run on every tick either way, so
+// the tick's outputs are the same bits as a full rebuild.
+//
 // The tick is allocation-free in steady state: ONE EnergySlice lives for
-// the whole run and is reset (not reallocated) per window, component
-// breakdowns land in a reused buffer, and the per-tick constants (power
-// params, CPU power model, the observability recorder/registry pointers)
-// are hoisted out of the loop.
+// the whole run and is reset (not reallocated) per rebuilt window,
+// component breakdowns and the wakelock owner list land in reused
+// buffers, and the per-tick constants (power params, CPU power model, the
+// observability recorder/registry pointers) are hoisted out of the loop.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +72,10 @@ class EnergySampler {
   void flush();
 
   [[nodiscard]] std::uint64_t slices_emitted() const { return slices_; }
+  /// Ticks whose GATHER kept the previous slice instead of rebuilding it.
+  [[nodiscard]] std::uint64_t gathers_reused() const {
+    return gathers_reused_;
+  }
 
   // --- Per-stage wall-clock accounting (bench instrumentation) ---------
   // Off by default: the tick takes zero clock reads. The hotpath bench
@@ -79,8 +94,9 @@ class EnergySampler {
  private:
   void tick();
   /// GATHER: integrates CPU, session components, and screen state over
-  /// the closed window into the persistent slice.
-  void gather(sim::TimePoint now, double window_s);
+  /// the closed window into the persistent slice. Returns true when it
+  /// kept the previous (sealed) slice instead.
+  bool gather(sim::TimePoint now, sim::Duration window);
   /// FOLD: fused pipeline first (when attached), then the sinks.
   void fold();
 
@@ -97,9 +113,27 @@ class EnergySampler {
   const hw::PowerParams& params_;
   hw::CpuPowerModel model_;
 
-  /// Persistent metering buffers (reset per tick, never reallocated).
+  /// Persistent metering buffers (reset per rebuild, never reallocated).
   EnergySlice slice_;
   hw::PowerBreakdown breakdown_;
+  /// This tick's screen-wakelock owners; swapped into the slice on a
+  /// rebuild.
+  std::vector<kernelsim::Uid> owners_;
+
+  // --- What the current slice was built from (GATHER's keep test) ---
+  static constexpr int kComponents = 4;  // camera, gps, wifi, audio
+  struct ComponentMark {
+    std::uint64_t generation = 0;
+    bool stable = false;  ///< no tail was running down at the build
+  };
+  ComponentMark component_marks_[kComponents];
+  sim::Duration built_window_{0};
+  double built_screen_mw_ = 0.0;
+  bool built_suspended_ = false;
+  bool slice_valid_ = false;  ///< a slice has been built
+  /// The sealed slice's total_mj(), reused while the slice is kept.
+  double total_mj_ = 0.0;
+  std::uint64_t gathers_reused_ = 0;
 
   /// Cached observability sinks (attached before construction, constant
   /// for the device's life) plus pre-interned/registered ids — the tick's

@@ -182,27 +182,19 @@ class EnergySlice {
   }
 
   /// Touched-delta view: the active list plus the five SoA column base
-  /// pointers the fused fold loops sweep (energy/pipeline.h). Take it
-  /// only AFTER seal(): growth (a first-seen app) reallocates the
-  /// columns, invalidating the pointers. Part order matches col_of().
-  ///
-  /// `cells` is the dense length of each column (cells idx = 0..cells-1).
-  /// Every cell outside the active list is an exact +0.0 — reset() zeroes
-  /// touched cells and fresh storage is value-initialised — so a dense
-  /// column sweep over [0, cells) adds the same numbers as an active-list
-  /// walk plus bitwise no-op `x += +0.0` terms (accumulators never hold
-  /// -0.0). That is what lets profiler folds run as straight-line SIMD
-  /// loops instead of gathers.
+  /// pointers, hoisted once so the fused fold (energy/pipeline.h) loads
+  /// each active app's parts without re-reading the columns. Take it only
+  /// AFTER seal(): growth (a first-seen app) reallocates the columns,
+  /// invalidating the pointers. Part order matches col_of(). Only cells of
+  /// active apps are meaningful to a reader.
   struct TouchedView {
     const std::vector<kernelsim::AppIdx>* active = nullptr;
     const double* parts[kParts] = {};
-    std::size_t cells = 0;
   };
   [[nodiscard]] TouchedView touched_view() const {
     TouchedView view;
     view.active = &active_;
     for (int col = 0; col < kParts; ++col) view.parts[col] = cols_[col].data();
-    view.cells = cols_[0].size();
     return view;
   }
 

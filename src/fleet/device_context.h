@@ -28,6 +28,7 @@
 #include "fleet/device_spec.h"
 #include "fleet/install_plan.h"
 #include "framework/system_server.h"
+#include "sim/check.h"
 #include "sim/simulator.h"
 
 namespace eandroid::fleet {
@@ -95,8 +96,12 @@ class DeviceContext {
     return eandroid_.get();
   }
 
-  [[nodiscard]] framework::Context& context_of(const std::string& package) {
+  /// The package's context, spawning its process first; callers that
+  /// only want the process running ignore the result.
+  framework::Context& context_of(const std::string& package) {
     const framework::PackageRecord* pkg = server_.packages().find(package);
+    EANDROID_CHECK(pkg != nullptr,
+                   "context_of for unknown package " << package);
     server_.ensure_process(pkg->uid);
     return server_.context_of(pkg->uid);
   }

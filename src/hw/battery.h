@@ -18,7 +18,8 @@ class Battery {
   /// `capacity_mwh` — usable energy when full (milliwatt-hours).
   explicit Battery(double capacity_mwh)
       : capacity_mj_(capacity_mwh * 3600.0),  // 1 mWh = 3600 mJ
-        remaining_mj_(capacity_mj_) {
+        remaining_mj_(capacity_mj_),
+        percent_(compute_percent()) {
     // One history point per integer-percent change: a full discharge is
     // ~101 entries, so this keeps the metering tick allocation-free.
     history_.reserve(128);
@@ -54,7 +55,8 @@ class Battery {
   /// Cumulative energy the device consumed, independent of charging —
   /// the ground truth every profiler's total is checked against.
   [[nodiscard]] double consumed_total_mj() const { return consumed_mj_; }
-  [[nodiscard]] int percent() const;
+  /// Integer percent, kept up to date by every change of the charge.
+  [[nodiscard]] int percent() const { return percent_; }
   [[nodiscard]] bool empty() const { return remaining_mj_ <= 0.0; }
 
   struct HistoryPoint {
@@ -72,8 +74,12 @@ class Battery {
   }
 
  private:
+  [[nodiscard]] int compute_percent() const;
+
   double capacity_mj_;
   double remaining_mj_;
+  /// percent() of remaining_mj_, recomputed where remaining_mj_ changes.
+  int percent_;
   double consumed_mj_ = 0.0;
   bool charging_ = false;
   double charge_rate_mw_ = 0.0;

@@ -7,6 +7,7 @@ namespace eandroid::hw {
 SessionId SessionComponent::begin_session(kernelsim::Uid uid) {
   const SessionId id{next_session_++};
   sessions_[id.id] = uid;
+  ++generation_;
   return id;
 }
 
@@ -15,6 +16,7 @@ void SessionComponent::end_session(SessionId id) {
   if (it == sessions_.end()) return;
   last_owner_ = it->second;
   sessions_.erase(it);
+  ++generation_;
   if (sessions_.empty() && tail_ > sim::Duration(0)) {
     tail_until_ = sim_.now() + tail_;
   }
@@ -31,7 +33,9 @@ void SessionComponent::end_sessions_of(kernelsim::Uid uid) {
       ++it;
     }
   }
-  if (removed && sessions_.empty() && tail_ > sim::Duration(0)) {
+  if (!removed) return;
+  ++generation_;
+  if (sessions_.empty() && tail_ > sim::Duration(0)) {
     tail_until_ = sim_.now() + tail_;
   }
 }

@@ -6,6 +6,11 @@
 // accurate than pure utilization models. A session is opened by an app
 // (identified by uid) and closed by it; concurrent sessions share the
 // active power equally for attribution.
+//
+// The metering tick keeps its previous slice when nothing it reads has
+// changed, so the component reports what can change its breakdown: a
+// generation counter for the calls, and whether a tail is running down
+// (a tail expires on the clock, with no call).
 #pragma once
 
 #include <cstdint>
@@ -76,6 +81,16 @@ class SessionComponent {
   /// metering loop reuses one allocation across ticks.
   void breakdown_into(PowerBreakdown& out) const;
 
+  /// Moves on every begin_session, end_session and end_sessions_of call
+  /// that changes the session set.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+
+  /// True when breakdown() cannot change until the generation moves: a
+  /// session is open, or no tail is running down.
+  [[nodiscard]] bool time_stable() const {
+    return !sessions_.empty() || !(tail_mw_ > 0.0 && sim_.now() < tail_until_);
+  }
+
  private:
   sim::Simulator& sim_;
   std::string name_;
@@ -87,6 +102,7 @@ class SessionComponent {
   kernelsim::Uid last_owner_{};
   sim::TimePoint tail_until_{};
   std::uint64_t next_session_ = 1;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace eandroid::hw

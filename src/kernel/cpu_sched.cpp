@@ -18,19 +18,24 @@ CpuScheduler::CpuScheduler(sim::Simulator& sim, ProcessTable& processes,
   // observers run, so the victim's last stretch is accrued explicitly.
   processes_.add_death_observer([this](const ProcessInfo& info) {
     const double dt = (sim_.now() - accrue_mark_).seconds();
-    integrate();  // live loads + advances the mark
-    for (auto it = loads_.begin(); it != loads_.end();) {
-      if (it->second.pid != info.pid) {
-        ++it;
-        continue;
+    mutate();  // accrues the live loads + advances the mark
+    for (const Load& load : loads_) {
+      if (load.pid != info.pid) continue;
+      if (dt > 0.0 && !suspended_ && load.duty > 0.0) {
+        add_cell(ids_->app_of(info.uid), load.routine, load.duty * dt);
       }
-      if (dt > 0.0 && !suspended_ && it->second.duty > 0.0) {
-        add_cell(ids_->app_of(info.uid), it->second.routine,
-                 it->second.duty * dt);
-      }
-      it = loads_.erase(it);
     }
+    std::erase_if(loads_,
+                  [&info](const Load& load) { return load.pid == info.pid; });
   });
+}
+
+std::vector<CpuScheduler::Load>::iterator CpuScheduler::find_load(
+    LoadHandle h) {
+  auto it = std::lower_bound(
+      loads_.begin(), loads_.end(), h.id,
+      [](const Load& load, std::uint64_t id) { return load.id < id; });
+  return it != loads_.end() && it->id == h.id ? it : loads_.end();
 }
 
 RoutineIdx CpuScheduler::ipc_routine() {
@@ -54,40 +59,47 @@ void CpuScheduler::integrate() {
   const double dt = (now - accrue_mark_).seconds();
   accrue_mark_ = now;
   if (dt <= 0.0 || suspended_) return;
-  for (auto& [id, load] : loads_) {
+  for (Load& load : loads_) {
     if (load.duty <= 0.0) continue;
     if (load.app == kNoIdx) {
       // The load was registered before its process existed; resolve once
       // the process shows up, like the seed's per-integrate lookup did.
       const ProcessInfo* info = processes_.find(load.pid);
-      if (info == nullptr) continue;
+      if (info == nullptr) {
+        loads_live_ = false;
+        continue;
+      }
       load.app = ids_->app_of(info->uid);
     }
-    if (!processes_.alive(load.pid)) continue;
+    if (!processes_.alive(load.pid)) {
+      loads_live_ = false;
+      continue;
+    }
     add_cell(load.app, load.routine, load.duty * dt);
   }
 }
 
 LoadHandle CpuScheduler::add_load(Pid pid, double duty,
                                   std::string_view routine) {
-  integrate();
+  mutate();
   const LoadHandle h{next_load_++};
   const ProcessInfo* info = processes_.find(pid);
   const AppIdx app = info == nullptr ? kNoIdx : ids_->app_of(info->uid);
-  loads_[h.id] =
-      Load{pid, std::clamp(duty, 0.0, 1.0), app, ids_->routine_of(routine)};
+  loads_.push_back(Load{h.id, pid, std::clamp(duty, 0.0, 1.0), app,
+                        ids_->routine_of(routine)});
   return h;
 }
 
 void CpuScheduler::set_duty(LoadHandle h, double duty) {
-  integrate();
-  auto it = loads_.find(h.id);
-  if (it != loads_.end()) it->second.duty = std::clamp(duty, 0.0, 1.0);
+  mutate();
+  if (auto it = find_load(h); it != loads_.end()) {
+    it->duty = std::clamp(duty, 0.0, 1.0);
+  }
 }
 
 void CpuScheduler::remove_load(LoadHandle h) {
-  integrate();
-  loads_.erase(h.id);
+  mutate();
+  if (auto it = find_load(h); it != loads_.end()) loads_.erase(it);
 }
 
 void CpuScheduler::charge_burst(Pid pid, sim::Duration cpu_time) {
@@ -95,6 +107,7 @@ void CpuScheduler::charge_burst(Pid pid, sim::Duration cpu_time) {
   const ProcessInfo* info = processes_.find(pid);
   if (info == nullptr) return;
   if (cpu_time <= sim::Duration(0)) return;
+  ++mutations_;  // nothing to accrue: the burst lands at sample time
   const AppIdx app = ids_->app_of(info->uid);
   if (burst_micros_.size() <= app) burst_micros_.resize(app + 1, 0);
   if (burst_micros_[app] == 0) burst_touched_.push_back(app);
@@ -102,24 +115,37 @@ void CpuScheduler::charge_burst(Pid pid, sim::Duration cpu_time) {
 }
 
 void CpuScheduler::set_suspended(bool suspended) {
-  integrate();
+  mutate();
   suspended_ = suspended;
 }
 
 double CpuScheduler::instantaneous_utilization() const {
   if (suspended_) return 0.0;
   double demand = 0.0;
-  for (const auto& [id, load] : loads_) {
+  for (const Load& load : loads_) {
     if (processes_.alive(load.pid)) demand += load.duty;
   }
   return std::min(1.0, demand / cores_);
 }
 
 const CpuWindow& CpuScheduler::sample_window() {
-  integrate();
   const sim::TimePoint now = sim_.now();
   const sim::Duration window = now - window_start_;
+  const bool quiet = mutations_ == sampled_mutations_;
+  window_reused_ = quiet && window_clean_ && window == last_window_;
+  if (window_reused_) {
+    // Nothing accrued since the last sample (no integrate() ran), and a
+    // full pass would add the same duty * dt per cell in the same order.
+    accrue_mark_ = now;
+    window_start_ = now;
+    return window_;
+  }
+  loads_live_ = true;
+  integrate();
   window_start_ = now;
+  sampled_mutations_ = mutations_;
+  last_window_ = window;
+  window_clean_ = quiet && loads_live_ && window > sim::Duration(0);
 
   window_.clear();
   if (window <= sim::Duration(0)) {

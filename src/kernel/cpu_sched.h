@@ -16,13 +16,18 @@
 // (app, routine) cells with a touched-cell list, so a sampling window
 // costs O(active cells) and allocates nothing in steady state. Cells are
 // iterated in ascending (app, routine) order, fixing one canonical
-// floating-point summation order for the window's total demand.
+// floating-point summation order for the window's total demand. Loads
+// live in a vector ascending by handle id, so loads that share a cell
+// accrue in creation order whatever the standard library's hashing.
+//
+// Change-driven sampling: the scheduler counts its own mutations, and a
+// window that would recompute the previous one bit for bit is not
+// recomputed (see sample_window()).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "kernel/interner.h"
@@ -110,22 +115,47 @@ class CpuScheduler {
   /// construction) and returns its utilization breakdown. Bursts are
   /// consumed; steady loads persist. The returned reference is to a
   /// reused buffer, valid until the next call.
+  ///
+  /// The previous window is returned unchanged (window_reused()) when all
+  /// of these hold: no mutation since that sample; that window was itself
+  /// mutation-free; the window length is the same; and every load with a
+  /// duty had resolved to a live process. The last one reads process-table
+  /// state the scheduler does not own (a load registered before its
+  /// process spawns resolves later), so it is checked, not counted.
   const CpuWindow& sample_window();
+
+  /// True when the last sample_window() returned the previous window
+  /// without recomputing it.
+  [[nodiscard]] bool window_reused() const { return window_reused_; }
 
   /// Instantaneous utilization from steady loads only (no window needed).
   [[nodiscard]] double instantaneous_utilization() const;
 
  private:
   struct Load {
+    std::uint64_t id;
     Pid pid;
     double duty;
     AppIdx app;
     RoutineIdx routine;
   };
 
+  /// The load with handle `h`, or loads_.end() once removed.
+  std::vector<Load>::iterator find_load(LoadHandle h);
+
   /// Accrues busy time at the current loads up to now; called before any
-  /// state mutation so mid-window changes are accounted exactly.
+  /// state mutation so mid-window changes are accounted exactly. Clears
+  /// loads_live_ when it skips a load with a duty for want of a live
+  /// process.
   void integrate();
+
+  /// Accrues up to now, then counts a call that changes what the open
+  /// window accrues. The accrual alone would count: it splits the
+  /// window's accrual, which moves the cells' last bits.
+  void mutate() {
+    integrate();
+    ++mutations_;
+  }
 
   /// Adds `core_seconds` to the (app, routine) accrual cell, tracking it
   /// in the touched list on first touch.
@@ -142,7 +172,9 @@ class CpuScheduler {
   ProcessTable& processes_;
   std::unique_ptr<IdTable> owned_ids_;
   IdTable* ids_;
-  std::unordered_map<std::uint64_t, Load> loads_;
+  /// Steady loads, ascending by handle id: ids only grow, so push_back
+  /// keeps the order and lookups binary-search.
+  std::vector<Load> loads_;
 
   /// Time-weighted core-seconds accrued since the window started,
   /// [app][routine]; 0.0 = untouched (all accruals are positive).
@@ -161,6 +193,18 @@ class CpuScheduler {
   int cores_ = 1;
   bool suspended_ = false;
   std::uint64_t next_load_ = 1;
+
+  /// Mutation count, and its value at the last sample_window().
+  std::uint64_t mutations_ = 0;
+  std::uint64_t sampled_mutations_ = 0;
+  /// Length of the last window sample_window() returned.
+  sim::Duration last_window_{0};
+  /// The last computed window had no mutation and every load with a duty
+  /// resolved to a live process: an unchanged next window equals it.
+  bool window_clean_ = false;
+  bool window_reused_ = false;
+  /// Written by integrate(); see there.
+  bool loads_live_ = true;
 };
 
 }  // namespace eandroid::kernelsim

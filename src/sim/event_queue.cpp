@@ -33,7 +33,7 @@ void EventQueue::sift_down(std::size_t i) {
 
 void EventQueue::remove_root() {
   if (heap_.size() > 1) {
-    heap_.front() = std::move(heap_.back());
+    heap_.front() = heap_.back();
     heap_.pop_back();
     sift_down(0);
   } else {
@@ -41,43 +41,82 @@ void EventQueue::remove_root() {
   }
 }
 
-EventHandle EventQueue::push(TimePoint when, Callback cb) {
-  const std::uint64_t id = next_id_++;
-  heap_.push_back(Entry{when, next_seq_++, id, Duration(0), std::move(cb)});
+EventHandle EventQueue::schedule(TimePoint when, Duration period,
+                                 Callback cb) {
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  s.period = period;
+  s.live = true;
+  s.in_heap = true;
+  heap_.push_back(Node{when, next_seq_++, slot});
   sift_up(heap_.size() - 1);
-  pending_.insert(id);
-  return EventHandle{id};
+  ++live_;
+  return EventHandle{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
+}
+
+EventHandle EventQueue::push(TimePoint when, Callback cb) {
+  return schedule(when, Duration(0), std::move(cb));
 }
 
 EventHandle EventQueue::push_periodic(TimePoint first, Duration period,
                                       Callback cb) {
   assert(period > Duration(0));
-  const std::uint64_t id = next_id_++;
-  heap_.push_back(Entry{first, next_seq_++, id, period, std::move(cb)});
-  sift_up(heap_.size() - 1);
-  pending_.insert(id);
-  return EventHandle{id};
+  return schedule(first, period, std::move(cb));
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.cb = nullptr;
+  s.live = false;
+  s.in_heap = false;
+  // A generation that wraps to 0 would let an ancient handle alias a new
+  // event: retire the slot instead.
+  if (++s.gen != 0) free_.push_back(slot);
 }
 
 bool EventQueue::cancel(EventHandle h) {
   if (!h.valid()) return false;
+  const auto slot = static_cast<std::uint32_t>(h.id);
   // Only events that are actually still scheduled can be cancelled;
   // handles of fired or already-cancelled events are a safe no-op.
-  if (pending_.erase(h.id) == 0) return false;
-  // The entry cannot be removed from the middle of the heap; it is
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  if (s.gen != static_cast<std::uint32_t>(h.id >> 32) || !s.live) {
+    return false;
+  }
+  s.live = false;
+  --live_;
+  // A periodic event cancelled from inside its own callback has no heap
+  // node; fire_front() releases its slot once the callback returns.
+  if (!s.in_heap) return true;
+  // The node cannot be removed from the middle of the heap; it is
   // discarded lazily when it reaches the head, or eagerly by compact()
-  // once dead entries outnumber live ones (the 64 floor keeps tiny
-  // queues from compacting on every other cancel). A periodic entry
-  // cancelled from inside its own callback is parked outside the heap —
-  // fire_front() notices and corrects dead_ when it skips the reschedule.
+  // once dead nodes outnumber live ones (the 64 floor keeps tiny queues
+  // from compacting on every other cancel).
   ++dead_;
-  if (dead_ > 64 && dead_ > pending_.size()) compact();
+  if (dead_ > 64 && dead_ > live_) compact();
   return true;
 }
 
 void EventQueue::compact() {
-  std::erase_if(heap_,
-                [this](const Entry& e) { return !pending_.contains(e.id); });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const Node node = heap_[i];
+    if (slots_[node.slot].live) {
+      heap_[kept++] = node;
+    } else {
+      release(node.slot);
+    }
+  }
+  heap_.resize(kept);
   // Floyd heapify: sift_down the internal nodes bottom-up.
   if (heap_.size() > 1) {
     for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
@@ -86,15 +125,12 @@ void EventQueue::compact() {
 }
 
 void EventQueue::skip_cancelled() {
-  while (!heap_.empty() && !pending_.contains(heap_.front().id)) {
+  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
+    release(heap_.front().slot);
     remove_root();
     --dead_;
   }
 }
-
-bool EventQueue::empty() const { return pending_.empty(); }
-
-std::size_t EventQueue::size() const { return pending_.size(); }
 
 TimePoint EventQueue::next_time() const {
   auto* self = const_cast<EventQueue*>(this);
@@ -106,9 +142,10 @@ TimePoint EventQueue::next_time() const {
 EventQueue::Callback EventQueue::pop() {
   skip_cancelled();
   assert(!heap_.empty());
-  Callback cb = std::move(heap_.front().cb);
-  pending_.erase(heap_.front().id);
-  heap_.front().cb = nullptr;
+  const std::uint32_t slot = heap_.front().slot;
+  Callback cb = std::move(slots_[slot].cb);
+  --live_;
+  release(slot);
   remove_root();
   return cb;
 }
@@ -116,40 +153,41 @@ EventQueue::Callback EventQueue::pop() {
 void EventQueue::fire_front() {
   skip_cancelled();
   assert(!heap_.empty());
-  if (heap_.front().period <= Duration(0)) {
-    // One-shot: consume the entry before running, exactly like pop(),
-    // so a callback cancelling its own handle stays a no-op.
-    Callback cb = std::move(heap_.front().cb);
-    pending_.erase(heap_.front().id);
-    heap_.front().cb = nullptr;
-    remove_root();
+  const Node node = heap_.front();
+  remove_root();
+  // The callback runs from a local: events it schedules may grow slots_,
+  // which must not move a running std::function.
+  Callback cb = std::move(slots_[node.slot].cb);
+  if (slots_[node.slot].period <= Duration(0)) {
+    // One-shot: consume the event before running, exactly like pop(), so
+    // a callback cancelling its own handle stays a no-op.
+    --live_;
+    release(node.slot);
     cb();
     return;
   }
-  // Periodic: park the whole entry outside the heap while the callback
-  // runs (a cancel storm inside it may trigger compact(), which must not
-  // destroy a callback mid-execution), then reschedule it in place. The
-  // id stays in pending_ throughout, so cancel() from inside the callback
-  // is how a periodic timer stops itself.
-  Entry entry = std::move(heap_.front());
-  remove_root();
+  // Periodic: the slot stays reserved and live while the callback runs,
+  // with no heap node, so neither cancel() nor compact() can release it;
+  // cancel() from inside the callback is how a periodic timer stops
+  // itself.
+  slots_[node.slot].in_heap = false;
   try {
-    entry.cb();
+    cb();
   } catch (...) {
     // Propagating an exception consumes the event like a one-shot would.
-    if (pending_.erase(entry.id) == 0 && dead_ > 0) --dead_;
+    if (slots_[node.slot].live) --live_;
+    release(node.slot);
     throw;
   }
-  if (pending_.contains(entry.id)) {
-    entry.when = entry.when + entry.period;
-    entry.seq = next_seq_++;
-    heap_.push_back(std::move(entry));
-    sift_up(heap_.size() - 1);
-  } else if (dead_ > 0) {
-    // cancel() assumed the entry was buried in the heap and counted it
-    // dead; it was parked here instead and is now gone for real.
-    --dead_;
+  Slot& s = slots_[node.slot];
+  if (!s.live) {
+    release(node.slot);
+    return;
   }
+  s.cb = std::move(cb);
+  s.in_heap = true;
+  heap_.push_back(Node{node.when + s.period, next_seq_++, node.slot});
+  sift_up(heap_.size() - 1);
 }
 
 }  // namespace eandroid::sim

@@ -4,28 +4,30 @@
 // (FIFO), which keeps framework call/callback sequences deterministic.
 // Events can be cancelled via the handle returned by push().
 //
-// Layout: a hand-rolled 4-ary min-heap over a flat vector. The shallower
-// tree does fewer cache-missing compares per sift than a binary heap, and
-// owning the sift code lets fire_front() move an entry out, run it, and
-// push it back without churning the pending-id set.
+// Layout: a hand-rolled 4-ary min-heap of small {when, seq, slot} nodes
+// over a slot table. The callback and the period live in the slot, so a
+// sift moves 24-byte nodes, never a std::function. A slot carries a
+// generation counter and the handle's id packs (generation, slot), so
+// checking whether a handle is still scheduled is an array load, not a
+// hash lookup; the generation moves on every reuse of the slot, which
+// keeps ids unique for the queue's lifetime (a slot whose generation
+// would wrap is retired instead of reused).
 //
 // Periodic events (push_periodic / Simulator::every) are first-class: one
-// heap entry and one id live for the whole lifetime of the timer, and each
-// firing reschedules that same entry in place — no fresh std::function, no
-// heap-entry allocation, no pending-set insert/erase per tick. The 250 ms
-// metering timer used to pay all three on every tick.
+// slot and one id live for the whole lifetime of the timer, and each
+// firing re-keys the same slot with `when + period` and a sequence number
+// taken after the callback returns — no fresh std::function, no slot
+// churn per tick. The 250 ms metering timer is one.
 //
-// Memory stays proportional to the LIVE event count: a single `pending_`
-// set tracks scheduled-and-not-cancelled ids (an entry whose id has left
-// the set is dead), and when dead entries buried in the heap — e.g.
-// cancelled far-future timeouts that would otherwise sit there until
-// their instant arrived — outnumber the live ones, the heap is compacted
-// in place. Long soaks with heavy cancel traffic no longer accrete state.
+// Memory stays proportional to the LIVE event count: cancel() marks the
+// slot dead and leaves its node in the heap, and when dead nodes buried
+// in the heap — e.g. cancelled far-future timeouts that would otherwise
+// sit there until their instant arrived — outnumber the live ones, the
+// heap is compacted in place and their slots return to the free list.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.h"
@@ -46,7 +48,7 @@ class EventQueue {
   EventHandle push(TimePoint when, Callback cb);
 
   /// Schedules `cb` to run at `first` and then every `period` after, until
-  /// cancelled. The entry is rescheduled in place by fire_front(): the
+  /// cancelled. The slot is re-keyed in place by fire_front(): the
   /// callback object and the id are allocated once, at registration.
   EventHandle push_periodic(TimePoint first, Duration period, Callback cb);
 
@@ -55,8 +57,10 @@ class EventQueue {
   /// from inside its own callback suppresses the pending reschedule.
   bool cancel(EventHandle h);
 
-  [[nodiscard]] bool empty() const;
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] bool empty() const { return live_ == 0; }
+  /// Scheduled-and-not-cancelled events (a periodic event counts while
+  /// its callback runs).
+  [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Time of the earliest pending event. Precondition: !empty().
   [[nodiscard]] TimePoint next_time() const;
@@ -67,25 +71,38 @@ class EventQueue {
   /// Precondition: !empty().
   Callback pop();
 
-  /// Pops the earliest pending event and runs it. One-shot entries are
-  /// consumed; periodic entries run while parked outside the heap (safe
-  /// against compaction from inside the callback) and are then pushed
-  /// back — same callback object, same id, next instant — unless the
-  /// callback cancelled them. Precondition: !empty().
+  /// Pops the earliest pending event and runs it. One-shot events are
+  /// consumed before they run. A periodic event's node leaves the heap
+  /// while its callback runs, and its slot stays reserved (a compaction
+  /// triggered from inside the callback cannot free or reuse it); it is
+  /// then re-keyed — same callback object, same id, next instant — unless
+  /// the callback cancelled it. Precondition: !empty().
   void fire_front();
 
  private:
-  struct Entry {
+  /// A heap node: the ordering key plus the slot holding the event.
+  struct Node {
     TimePoint when;
     std::uint64_t seq;
-    std::uint64_t id;
+    std::uint32_t slot;
+  };
+
+  struct Slot {
+    Callback cb;
     /// Zero for one-shot events; the reschedule interval for periodic.
     Duration period{0};
-    Callback cb;
+    /// Moves on every release; a handle is current iff its generation
+    /// matches. Starts at 1 so no id is 0.
+    std::uint32_t gen = 1;
+    /// Scheduled and not cancelled: cancel() succeeds exactly when set.
+    bool live = false;
+    /// A heap node references the slot (false while a periodic callback
+    /// runs, and for free slots).
+    bool in_heap = false;
   };
 
   /// Min-heap order: earlier instant first, FIFO (seq) within an instant.
-  [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) {
+  [[nodiscard]] static bool earlier(const Node& a, const Node& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
@@ -93,28 +110,30 @@ class EventQueue {
   // 4-ary heap primitives over heap_.
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  /// Removes the root entry (heap_[0]) keeping the heap shape.
+  /// Removes the root node (heap_[0]) keeping the heap shape.
   void remove_root();
 
-  /// Drops dead (cancelled) entries sitting at the head of the heap.
+  EventHandle schedule(TimePoint when, Duration period, Callback cb);
+  /// Destroys the slot's callback, moves its generation and returns it to
+  /// the free list.
+  void release(std::uint32_t slot);
+
+  /// Drops dead (cancelled) nodes sitting at the head of the heap.
   void skip_cancelled();
 
-  /// Rebuilds the heap keeping only live entries; O(size) but amortised
-  /// free because it runs only when dead entries dominate.
+  /// Rebuilds the heap keeping only live nodes; O(size) but amortised
+  /// free because it runs only when dead nodes dominate.
   void compact();
 
-  /// 4-ary heap in a flat vector; a plain vector so compact() can filter
-  /// it in place and fire_front() can move entries out and back without
-  /// const_cast.
-  std::vector<Entry> heap_;
-  /// Ids of events that are scheduled and not cancelled. Keeping the
-  /// exact set (rather than a counter) makes cancel() of an
-  /// already-fired handle a safe no-op.
-  std::unordered_set<std::uint64_t> pending_;
-  /// Cancelled entries still buried in heap_.
+  std::vector<Node> heap_;
+  std::vector<Slot> slots_;
+  /// Released slots, reused last-in first-out.
+  std::vector<std::uint32_t> free_;
+  /// Live events (what size() reports).
+  std::size_t live_ = 0;
+  /// Cancelled nodes still buried in heap_.
   std::size_t dead_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
 };
 
 }  // namespace eandroid::sim

@@ -1,6 +1,6 @@
 // MeteringPipeline unit suite (the `metering` ctest label): fold order,
-// stage bracketing, the touched-view cell addressing, the dense column
-// folds against active-list sums, and external sinks on a live testbed.
+// stage bracketing, the touched-view cell addressing, the active-list
+// folds against the slice's sums, and external sinks on a live testbed.
 // These pin the pipeline's contracts at the component level, where a
 // violation has a short, debuggable witness.
 
@@ -125,11 +125,10 @@ TEST(MeteringPipelineTest, DirectStoreFoldIsBitIdenticalToTotalMj) {
             slice.camera_mj(b) + slice.camera_mj(b));
 }
 
-TEST(MeteringPipelineTest, DenseColumnFoldsMatchActiveListSums) {
-  // BatteryStats and PowerTutor fold as dense column sweeps — every
-  // cell, touched or not. The result must be EXACTLY the active-list
-  // sums: untouched cells are exact +0.0, so their `+= +0.0` terms are
-  // bitwise no-ops.
+TEST(MeteringPipelineTest, ActiveListFoldsMatchSliceSums) {
+  // BatteryStats and PowerTutor fold only the active apps. The result
+  // must be EXACTLY the slice's per-app sums, in sum_at()'s part-order
+  // association, accumulated slice by slice.
   const EnergySlice slice = make_slice();
   framework::PackageManager packages;
   BatteryStats bs(packages);

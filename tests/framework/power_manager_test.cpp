@@ -95,7 +95,7 @@ TEST_F(PowerManagerTest, ReleaseTurnsScreenOffAfterTimeout) {
   sim_.run_for(sim::minutes(2));
   EXPECT_TRUE(server_.power().screen_on());
   EXPECT_TRUE(ctx("com.locker").release_wakelock(*lock));
-  server_.power();  // releasing past the timeout drops the screen now
+  // Releasing past the timeout drops the screen now.
   EXPECT_FALSE(server_.power().screen_on());
   EXPECT_TRUE(server_.power().suspended());
 }

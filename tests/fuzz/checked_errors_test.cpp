@@ -53,6 +53,14 @@ TEST(CheckedErrorsTest, CampaignAfterWorkStealingStartThrows) {
   EXPECT_THROW(fleet.broker().add_campaign(campaign), sim::CheckFailure);
 }
 
+TEST(CheckedErrorsTest, ContextOfUnknownPackageThrows) {
+  // A misspelt package must fail by name, not dereference a null record.
+  fleet::DeviceContext bed{fleet::DeviceSpec{}};
+  install_cast(bed);
+  EXPECT_THROW(bed.context_of("com.not.installed"), sim::CheckFailure);
+  EXPECT_NO_THROW(bed.context_of(kCastPackages[kPushApp]));
+}
+
 TEST(CheckedErrorsTest, HibernationRunsUnderDefaultOptions) {
   // No legal-looking option mix is a checked error: a hibernating fleet
   // needs nothing beyond its working-set cap.

@@ -81,8 +81,12 @@ TEST(GeneratorTest, PreconditionsHoldAlongEveryProgram) {
         if (step.op == OpKind::kSensorEnd) {
           EXPECT_GT(state.sessions(step.app, step.a), 0);
         }
-        if (step.op == OpKind::kPlugCharger) EXPECT_FALSE(state.charging());
-        if (step.op == OpKind::kUnplugCharger) EXPECT_TRUE(state.charging());
+        if (step.op == OpKind::kPlugCharger) {
+          EXPECT_FALSE(state.charging());
+        }
+        if (step.op == OpKind::kUnplugCharger) {
+          EXPECT_TRUE(state.charging());
+        }
       }
       state.apply(step);
     }

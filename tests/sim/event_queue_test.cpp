@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -115,7 +116,9 @@ TEST(EventQueueTest, SizeTracksLiveEvents) {
 // reference model. Cancels are frequent enough to drive the heap across
 // its compaction boundary many times, so this catches id aliasing,
 // FIFO-at-the-same-instant breaks, and compaction losing or duplicating
-// entries.
+// entries. One op schedules a periodic event whose callback cancels
+// itself, forces a compaction while it runs, and pushes events that
+// would take its slot if the queue had freed it early.
 TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
   EventQueue q;
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -131,6 +134,7 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
     TimePoint when;
     Duration period{0};  // 0 = one-shot
     EventHandle handle;
+    bool cancels_itself = false;  // periodic that stops on its first run
   };
   // Scheduling order; the stable minimum over `when` is the FIFO-correct
   // next event. Rescheduled periodic entries move to the back, matching
@@ -160,7 +164,7 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
       q.pop()();  // removes even a periodic entry for good
     } else {
       q.fire_front();
-      if (expect.period > Duration(0)) {
+      if (expect.period > Duration(0) && !expect.cancels_itself) {
         ModelEvent again = expect;
         again.when = again.when + again.period;
         live.push_back(again);
@@ -170,10 +174,19 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
     EXPECT_EQ(fired.back(), expect.token);
   };
 
+  // Pushes a one-shot at the current instant and records it in the model.
+  auto push_now = [&] {
+    const std::uint64_t token = next_token++;
+    const EventHandle h =
+        q.push(now, [&fired, token] { fired.push_back(token); });
+    EXPECT_TRUE(seen_ids.insert(h.id).second) << "event id reused";
+    live.push_back({token, now, Duration(0), h});
+  };
+
   for (int op = 0; op < 6000; ++op) {
     const std::uint64_t r = next_rand();
     const std::uint64_t arg = r >> 8;
-    switch (r % 8) {
+    switch (r % 9) {
       case 0:
       case 1:
       case 2: {  // one-shot push; small spread forces equal instants
@@ -211,6 +224,33 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
       }
       case 7: {  // pop() consumes the earliest entry outright
         if (!live.empty()) consume_front(/*via_pop=*/true);
+        break;
+      }
+      case 8: {  // periodic that cancels itself and compacts mid-callback
+        const std::uint64_t token = next_token++;
+        const TimePoint when =
+            now + Duration(static_cast<std::int64_t>(arg % 40));
+        const Duration period =
+            Duration(static_cast<std::int64_t>(1 + arg % 7));
+        auto self = std::make_shared<EventHandle>();
+        *self = q.push_periodic(when, period, [&, token, self] {
+          fired.push_back(token);
+          q.cancel(*self);  // false when pop() already consumed it
+          push_now();
+          // More cancelled events than live ones, past the 64 floor: the
+          // last cancel compacts the heap while this callback runs.
+          std::vector<EventHandle> ballast;
+          const std::size_t n = q.size() + 65;
+          for (std::size_t i = 0; i < n; ++i) {
+            ballast.push_back(q.push(now + Duration(1000), [] {}));
+            EXPECT_TRUE(seen_ids.insert(ballast.back().id).second)
+                << "event id reused";
+          }
+          for (const EventHandle h : ballast) EXPECT_TRUE(q.cancel(h));
+          push_now();
+        });
+        ASSERT_TRUE(seen_ids.insert(self->id).second) << "event id reused";
+        live.push_back({token, when, period, *self, /*cancels_itself=*/true});
         break;
       }
     }
