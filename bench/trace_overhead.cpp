@@ -13,6 +13,11 @@
 //                 cost of carrying the switch.
 //   * recording — every seam writes into the ring.
 //
+// After the recording leg, whose ring has wrapped and holds `capacity`
+// events, an export leg times text_trace() and chrome_trace() on that
+// ring (best of kExportReps) and reports ns/event and bytes for each.
+// It has no gate.
+//
 // Self-gating (exit 1 on violation), mirroring hotpath_profile:
 //   * recording throughput within 10% of off (the CI bench-smoke gate);
 //   * zero steady-state allocations per tick while recording (counting
@@ -29,6 +34,7 @@
 
 #include "apps/demo_app.h"
 #include "apps/testbed.h"
+#include "obs/export.h"
 #include "obs/trace.h"
 
 // --- Counting allocator: every global new/new[] bumps one counter. ---
@@ -63,8 +69,15 @@ constexpr std::int64_t kWarmupS = 30;
 constexpr std::int64_t kSteadyS = 60;
 constexpr std::int64_t kTimedS = 14400;
 constexpr int kReps = 3;
+constexpr int kExportReps = 5;
 
 enum class Leg { kOff, kIdle, kRecording };
+
+/// One exporter timed on the recording leg's ring.
+struct ExportResult {
+  double ns_per_event = 0.0;
+  std::size_t bytes = 0;
+};
 
 struct LegResult {
   double wall_s = 0.0;
@@ -74,7 +87,27 @@ struct LegResult {
   std::uint64_t ticks = 0;
   std::uint64_t events_recorded = 0;
   std::string digest;
+  /// Recording leg only: events held by the ring and both exports of it.
+  std::size_t events_held = 0;
+  ExportResult text;
+  ExportResult chrome;
 };
+
+/// Best-of-kExportReps wall time of `exporter` over the ring, per event.
+template <typename Exporter>
+ExportResult time_export(const obs::TraceRecorder& rec, Exporter exporter) {
+  ExportResult result;
+  double best_s = 0.0;
+  for (int rep = 0; rep < kExportReps; ++rep) {
+    const auto start = Clock::now();
+    const std::string bytes = exporter(rec);
+    const double s = std::chrono::duration<double>(Clock::now() - start).count();
+    if (rep == 0 || s < best_s) best_s = s;
+    result.bytes = bytes.size();
+  }
+  result.ns_per_event = best_s * 1e9 / static_cast<double>(rec.size());
+  return result;
+}
 
 LegResult run_leg(Leg leg) {
   apps::TestbedOptions options;
@@ -144,6 +177,15 @@ LegResult run_leg(Leg leg) {
   bed.sampler().flush();
   if (const obs::TraceRecorder* rec = bed.server().obs().trace()) {
     result.events_recorded = rec->total_recorded();
+    if (leg == Leg::kRecording) {
+      result.events_held = rec->size();
+      result.text = time_export(*rec, [](const obs::TraceRecorder& r) {
+        return obs::text_trace(r);
+      });
+      result.chrome = time_export(*rec, [](const obs::TraceRecorder& r) {
+        return obs::chrome_trace(r);
+      });
+    }
   }
   result.digest = bed.energy_digest();
   return result;
@@ -214,6 +256,12 @@ int main() {
               100.0 * recording_overhead, 100.0 * idle_overhead,
               digests_match ? "identical" : "DIVERGED",
               recording_alloc_free ? "allocation-free" : "ALLOCATES");
+  std::printf("export of the recording leg's ring (%zu events, best of %d): "
+              "text %.1f ns/event, %zu bytes; chrome %.1f ns/event, %zu "
+              "bytes\n",
+              recording.events_held, kExportReps,
+              recording.text.ns_per_event, recording.text.bytes,
+              recording.chrome.ns_per_event, recording.chrome.bytes);
 
   std::FILE* json = std::fopen("BENCH_trace.json", "w");
   if (json != nullptr) {
@@ -239,6 +287,13 @@ int main() {
     leg("off", off);
     leg("idle", idle);
     leg("recording", recording);
+    std::fprintf(json,
+                 "  \"export\": {\"events\": %zu, \"text\": "
+                 "{\"ns_per_event\": %.1f, \"bytes\": %zu}, \"chrome\": "
+                 "{\"ns_per_event\": %.1f, \"bytes\": %zu}},\n",
+                 recording.events_held, recording.text.ns_per_event,
+                 recording.text.bytes, recording.chrome.ns_per_event,
+                 recording.chrome.bytes);
     std::fprintf(json,
                  "  \"recording_overhead\": %.4f,\n"
                  "  \"idle_overhead\": %.4f,\n"

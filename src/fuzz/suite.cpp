@@ -1,9 +1,11 @@
 #include "fuzz/suite.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -34,6 +36,27 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+// Caps that keep run_sweep's int arithmetic in range: a batch is
+// threads * 4 seeds, and `done + batch` must not pass INT_MAX. The step
+// cap keeps the generator's `max_steps - min_steps + 1` in range too.
+constexpr unsigned kMaxThreads = 1024;
+constexpr int kMaxSeeds = 1'000'000'000;
+constexpr int kMaxSteps = 1'000'000;
+
+/// Reads all of `value` as a number in [lo, hi]; NaN is never in range.
+/// `out` is written only on success.
+template <typename T>
+bool parse_number(const std::string& value, T lo, T hi, T* out) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || !(parsed >= lo && parsed <= hi)) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 }  // namespace
 
 bool SweepConfig::parse(const std::string& text, SweepConfig* out,
@@ -50,6 +73,7 @@ bool SweepConfig::parse(const std::string& text, SweepConfig* out,
   std::istringstream in(text);
   std::string raw;
   int line_no = 0;
+  int steps_line = 0;  // last line that set min_steps or max_steps
   while (std::getline(in, raw)) {
     ++line_no;
     const std::string line = trim(raw);
@@ -59,45 +83,60 @@ bool SweepConfig::parse(const std::string& text, SweepConfig* out,
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
     if (value.empty()) return fail(line_no, "empty value for " + key);
-    try {
-      if (key == "first_seed") {
-        config.first_seed = std::stoull(value);
-      } else if (key == "seeds") {
-        config.seeds = std::stoi(value);
-      } else if (key == "min_steps") {
-        config.min_steps = std::stoi(value);
-      } else if (key == "max_steps") {
-        config.max_steps = std::stoi(value);
-      } else if (key == "single_legs") {
-        if (!parse_bool(value, &config.single_legs)) {
-          return fail(line_no, "expected 0/1 for " + key);
-        }
-      } else if (key == "fleet_legs") {
-        if (!parse_bool(value, &config.fleet_legs)) {
-          return fail(line_no, "expected 0/1 for " + key);
-        }
-      } else if (key == "trace") {
-        if (!parse_bool(value, &config.trace)) {
-          return fail(line_no, "expected 0/1 for " + key);
-        }
-      } else if (key == "time_budget_s") {
-        config.time_budget_s = std::stod(value);
-      } else if (key == "threads") {
-        config.threads = static_cast<unsigned>(std::stoul(value));
-      } else if (key == "shrink_failures") {
-        if (!parse_bool(value, &config.shrink_failures)) {
-          return fail(line_no, "expected 0/1 for " + key);
-        }
-      } else if (key == "max_shrink_candidates") {
-        config.max_shrink_candidates = std::stoi(value);
-      } else if (key == "artifacts_dir") {
-        config.artifacts_dir = value;
-      } else {
-        return fail(line_no, "unknown key: " + key);
-      }
-    } catch (const std::exception&) {
-      return fail(line_no, "bad number for " + key + ": " + value);
+    // Each returns false, with the error set, when the value is rejected.
+    const auto number = [&](auto lo, auto hi, auto* field,
+                            const std::string& want) {
+      return parse_number(value, lo, hi, field) ||
+             fail(line_no, "bad number for " + key + ": " + value +
+                               " (want " + want + ")");
+    };
+    const auto count = [&](int max, int* field) {
+      return number(0, max, field, "0.." + std::to_string(max));
+    };
+    const auto flag = [&](bool* field) {
+      return parse_bool(value, field) ||
+             fail(line_no, "expected 0/1 for " + key);
+    };
+    bool ok = true;
+    if (key == "first_seed") {
+      ok = number(std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max(),
+                  &config.first_seed, "an unsigned 64-bit integer");
+    } else if (key == "seeds") {
+      ok = count(kMaxSeeds, &config.seeds);
+    } else if (key == "min_steps") {
+      ok = count(kMaxSteps, &config.min_steps);
+      steps_line = line_no;
+    } else if (key == "max_steps") {
+      ok = count(kMaxSteps, &config.max_steps);
+      steps_line = line_no;
+    } else if (key == "single_legs") {
+      ok = flag(&config.single_legs);
+    } else if (key == "fleet_legs") {
+      ok = flag(&config.fleet_legs);
+    } else if (key == "trace") {
+      ok = flag(&config.trace);
+    } else if (key == "time_budget_s") {
+      ok = number(0.0, std::numeric_limits<double>::max(),
+                  &config.time_budget_s, "a finite number >= 0");
+    } else if (key == "threads") {
+      ok = number(0u, kMaxThreads, &config.threads,
+                  "0.." + std::to_string(kMaxThreads));
+    } else if (key == "shrink_failures") {
+      ok = flag(&config.shrink_failures);
+    } else if (key == "max_shrink_candidates") {
+      ok = count(std::numeric_limits<int>::max(),
+                 &config.max_shrink_candidates);
+    } else if (key == "artifacts_dir") {
+      config.artifacts_dir = value;
+    } else {
+      return fail(line_no, "unknown key: " + key);
     }
+    if (!ok) return false;
+  }
+  if (config.min_steps > config.max_steps) {
+    return fail(steps_line, "min_steps " + std::to_string(config.min_steps) +
+                                " exceeds max_steps " +
+                                std::to_string(config.max_steps));
   }
   *out = config;
   return true;

@@ -46,7 +46,11 @@ struct SweepConfig {
 
   /// Parses "key = value" lines ('#' comments, blank lines ignored).
   /// Unknown keys are errors — a typoed knob must not silently revert to
-  /// a default. On failure returns false with "line N: why" in `error`.
+  /// a default. A number must be the whole value and in range: counts
+  /// are >= 0, min_steps <= max_steps, the time budget is finite and
+  /// >= 0, and threads, seeds and steps are capped so run_sweep's and the
+  /// generator's int arithmetic cannot overflow. On failure returns false
+  /// with "line N: why" in `error` and leaves `out` untouched.
   static bool parse(const std::string& text, SweepConfig* out,
                     std::string* error = nullptr);
 };

@@ -9,6 +9,11 @@
 //                    loadable in Perfetto / chrome://tracing. Events are
 //                    instants; each uid gets its own named track (tid) and
 //                    system-wide events (uid -1) land on a "system" track.
+//
+// Both write one std::string sized up front from the event count and the
+// longest name, with integers through std::to_chars and no iostreams;
+// chrome_trace() escapes each name once per export, not once per event.
+// The cost is linear in the events held, not in the ring's capacity.
 #pragma once
 
 #include <string>

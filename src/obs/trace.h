@@ -3,7 +3,7 @@
 //
 // Every load-bearing seam (event dispatch, lifecycle transitions, binder
 // calls, wakelocks, sampler slices, engine collateral, fault injection,
-// service-manager backoff, fleet epochs) drops a 24-byte TraceEvent here
+// service-manager backoff, fleet epochs) drops a 32-byte TraceEvent here
 // via the EANDROID_TRACE macros below. Design constraints, in order:
 //
 //   1. Allocation-free when recording. Events are PODs written into a
@@ -20,14 +20,20 @@
 //      check survives.
 //
 // The ring keeps the newest `capacity` events; `dropped()` counts the
-// overwritten prefix so exporters can say what the window missed.
+// overwritten prefix so exporters can say what the window missed. It is
+// allocated once, at construction, and left unwritten: a traced device
+// touches only the pages its events land on, so building, filling and
+// freeing a ring costs in proportion to the events recorded, not to the
+// capacity. record() stays one slot store plus the wrap, with no
+// first-lap branch: it is inlined into every instrumented seam, the
+// event loop's dispatch included, so its size costs even untraced runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 #include "kernel/interner.h"
 
@@ -46,7 +52,7 @@ enum class TraceCategory : std::uint8_t {
 };
 inline constexpr int kTraceCategoryCount = 8;
 
-[[nodiscard]] inline const char* to_string(TraceCategory c) {
+[[nodiscard]] constexpr const char* to_string(TraceCategory c) {
   switch (c) {
     case TraceCategory::kSim: return "sim";
     case TraceCategory::kLifecycle: return "lifecycle";
@@ -63,22 +69,25 @@ inline constexpr int kTraceCategoryCount = 8;
 /// Dense index into the recorder's private name table.
 using NameIdx = kernelsim::RoutineIdx;
 
-/// One trace point. 24 bytes, trivially copyable, no destructor — the
-/// ring is a flat std::vector<TraceEvent> that is never resized after
-/// construction.
+/// One trace point: 32 bytes, trivial. Trivial (no member initialisers)
+/// so the ring's storage can be allocated without writing it; only
+/// record() ever fills a slot.
 struct TraceEvent {
-  std::int64_t t_us = 0;   // virtual time, microseconds
-  std::int64_t arg = 0;    // event-specific payload (µJ, delay, handle…)
-  NameIdx name = 0;        // index into TraceRecorder::names()
-  std::int32_t uid = -1;   // owning uid, -1 for system/device-wide
-  TraceCategory category = TraceCategory::kSim;
+  std::int64_t t_us;        // virtual time, microseconds
+  std::int64_t arg;         // event-specific payload (µJ, delay, handle…)
+  NameIdx name;             // index into TraceRecorder::names()
+  std::int32_t uid;         // owning uid, -1 for system/device-wide
+  TraceCategory category;
 };
 static_assert(std::is_trivially_copyable_v<TraceEvent>);
+static_assert(std::is_trivial_v<TraceEvent>);
 
 class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t capacity = 1u << 16)
-      : ring_(capacity == 0 ? 1 : capacity), cap_(ring_.size()) {}
+      : ring_(std::make_unique_for_overwrite<TraceEvent[]>(
+            capacity == 0 ? 1 : capacity)),
+        cap_(capacity == 0 ? 1 : capacity) {}
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -95,7 +104,8 @@ class TraceRecorder {
   [[nodiscard]] bool recording() const { return recording_; }
 
   /// Appends one event. Allocation-free: a wrapped index store into the
-  /// pre-sized ring. Silently overwrites the oldest event when full.
+  /// ring allocated at construction. Silently overwrites the oldest event
+  /// when full.
   void record(TraceCategory category, NameIdx name, std::int32_t uid,
               std::int64_t arg, std::int64_t t_us) {
     if (!recording_) return;
@@ -128,7 +138,9 @@ class TraceRecorder {
     return total_ < cap_ ? 0 : total_ - cap_;
   }
 
-  /// Visits held events oldest→newest.
+  /// Visits held events oldest→newest. Reads only slots written since
+  /// construction or the last clear(): below one lap that is [0, total),
+  /// and once the ring has wrapped every slot has been written.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     const std::size_t n = size();
@@ -147,10 +159,10 @@ class TraceRecorder {
   }
 
  private:
-  std::vector<TraceEvent> ring_;  // cap_ slots, never resized
+  std::unique_ptr<TraceEvent[]> ring_;  // cap_ slots, unwritten until recorded
   std::size_t cap_;
-  std::size_t head_ = 0;          // next write position
-  std::uint64_t total_ = 0;       // lifetime count
+  std::size_t head_ = 0;                // next write position
+  std::uint64_t total_ = 0;             // lifetime count
   bool recording_ = true;
   kernelsim::IdTable names_;  // private: see header comment, point 2
 };

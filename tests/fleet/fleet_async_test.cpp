@@ -187,10 +187,13 @@ TEST(FleetAsyncTest, HibernationParksDevicesAndRestoresByReplay) {
   EXPECT_GT(fleet.snapshot(0).sim_end_us, 0);
 
   // Waking a parked device replays it into bit-identical state: its live
-  // digest equals the snapshot taken before eviction.
-  DeviceContext& device = fleet.device(0);
-  EXPECT_EQ(device.energy_digest(), digests[0]);
-  EXPECT_EQ(device.server().push().pushes_delivered(), 8u);
+  // digest equals the snapshot taken before eviction. Which three devices
+  // finish() leaves resident depends on worker timing, so wake four: at
+  // least one of them was parked.
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(fleet.device(i).energy_digest(), digests[i]) << "device " << i;
+  }
+  EXPECT_EQ(fleet.device(0).server().push().pushes_delivered(), 8u);
   EXPECT_GE(fleet.scheduler_metrics().find("fleet.hib.restores")->count, 1u);
 }
 

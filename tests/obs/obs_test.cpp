@@ -90,6 +90,73 @@ TEST(TraceRecorderTest, RecordingSwitchGatesBothRecordPaths) {
   EXPECT_EQ(rec.total_recorded(), 1u);
 }
 
+// The ring is left unwritten until a slot is recorded, so for_each must
+// read only the slots written since construction or the last clear().
+std::vector<std::int64_t> held_args(const TraceRecorder& rec) {
+  std::vector<std::int64_t> args;
+  rec.for_each([&](const TraceEvent& ev) { args.push_back(ev.arg); });
+  return args;
+}
+
+void record_args(TraceRecorder& rec, std::int64_t first, std::int64_t last) {
+  const NameIdx tick = rec.intern("tick");
+  for (std::int64_t a = first; a <= last; ++a) {
+    rec.record(TraceCategory::kSim, tick, -1, a, a);
+  }
+}
+
+TEST(TraceRecorderTest, HugeRingHoldingAHandfulReadsOnlyThoseSlots) {
+  TraceRecorder rec(1u << 20);
+  EXPECT_EQ(rec.capacity(), 1u << 20);
+  EXPECT_TRUE(held_args(rec).empty());
+  record_args(rec, 1, 5);
+  EXPECT_EQ(rec.size(), 5u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_EQ(held_args(rec), (std::vector<std::int64_t>{1, 2, 3, 4, 5}));
+}
+
+TEST(TraceRecorderTest, ClearMidFirstLapThenRecordPastPreClearCount) {
+  TraceRecorder rec(16);
+  record_args(rec, 0, 9);
+  EXPECT_EQ(rec.size(), 10u);
+  rec.clear();
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_TRUE(held_args(rec).empty());
+  record_args(rec, 100, 102);
+  EXPECT_EQ(rec.size(), 3u);
+  EXPECT_EQ(held_args(rec), (std::vector<std::int64_t>{100, 101, 102}));
+  record_args(rec, 103, 111);  // past the 10 slots written before clear()
+  EXPECT_EQ(rec.size(), 12u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  std::vector<std::int64_t> want;
+  for (std::int64_t a = 100; a <= 111; ++a) want.push_back(a);
+  EXPECT_EQ(held_args(rec), want);
+  record_args(rec, 112, 120);  // and on into the wrap
+  EXPECT_EQ(rec.size(), 16u);
+  EXPECT_EQ(rec.dropped(), 5u);
+  want.clear();
+  for (std::int64_t a = 105; a <= 120; ++a) want.push_back(a);
+  EXPECT_EQ(held_args(rec), want);
+}
+
+TEST(TraceRecorderTest, WrapThenClearThenFewerThanCapacity) {
+  TraceRecorder rec(8);
+  record_args(rec, 0, 19);
+  EXPECT_EQ(rec.size(), 8u);
+  EXPECT_EQ(rec.dropped(), 12u);
+  EXPECT_EQ(held_args(rec),
+            (std::vector<std::int64_t>{12, 13, 14, 15, 16, 17, 18, 19}));
+  rec.clear();
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_TRUE(held_args(rec).empty());
+  record_args(rec, 50, 52);
+  EXPECT_EQ(rec.size(), 3u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_EQ(held_args(rec), (std::vector<std::int64_t>{50, 51, 52}));
+}
+
 TEST(TraceCategoryTest, EveryCategoryHasAName) {
   for (int i = 0; i < kTraceCategoryCount; ++i) {
     EXPECT_STRNE(to_string(static_cast<TraceCategory>(i)), "?");
