@@ -4,6 +4,7 @@
 //
 //   ./fuzz_sweep --suite ../bench/suites/fuzz_smoke.cfg
 //   ./fuzz_sweep --suite ../bench/suites/fuzz_acceptance.cfg --seeds 1000
+//   ./fuzz_sweep --suite ../bench/suites/chaos.cfg --out BENCH_chaos.json
 //
 // Flags: --suite <cfg> (key=value file, see src/fuzz/suite.h), --seeds N
 // (override the suite's seed count), --out <json> (default
@@ -97,6 +98,23 @@ int main(int argc, char** argv) {
   std::printf("steps dispatched  %10llu\n",
               static_cast<unsigned long long>(result.steps_total));
   std::printf("violations        %10zu\n", result.failures.size());
+  const struct {
+    const char* label;
+    const char* json_key;
+    std::uint64_t total;
+  } recovery[] = {
+      {"service restarts", "service_restarts",
+       result.recovery.service_restarts},
+      {"ANR kills", "anr_kills", result.recovery.anr_kills},
+      {"binder failures", "binder_failures", result.recovery.binder_failures},
+      {"broadcast drops", "broadcast_drops",
+       result.recovery.broadcasts_dropped},
+      {"alarm deferrals", "alarm_deferrals", result.recovery.alarms_delayed},
+  };
+  for (const auto& row : recovery) {
+    std::printf("%-17s %10llu\n", row.label,
+                static_cast<unsigned long long>(row.total));
+  }
   std::printf("wall              %9.1fs  (%.2f scenarios/s)\n\n",
               result.elapsed_s, rate);
 
@@ -126,15 +144,20 @@ int main(int argc, char** argv) {
                  "{\n"
                  "  \"seeds_run\": %d,\n"
                  "  \"steps_dispatched\": %llu,\n"
-                 "  \"violations\": %zu,\n"
+                 "  \"violations\": %zu,\n",
+                 result.scenarios_run,
+                 static_cast<unsigned long long>(result.steps_total),
+                 result.failures.size());
+    for (const auto& row : recovery) {
+      std::fprintf(json, "  \"%s\": %llu,\n", row.json_key,
+                   static_cast<unsigned long long>(row.total));
+    }
+    std::fprintf(json,
                  "  \"budget_exhausted\": %s,\n"
                  "  \"wall_seconds\": %.2f,\n"
                  "  \"scenarios_per_s\": %.3f,\n"
                  "  \"shrink_candidates\": %d,\n"
                  "  \"legs_seconds\": {",
-                 result.scenarios_run,
-                 static_cast<unsigned long long>(result.steps_total),
-                 result.failures.size(),
                  result.budget_exhausted ? "true" : "false", result.elapsed_s,
                  rate, shrink_candidates);
     for (std::size_t i = 0; i < result.leg_seconds.size(); ++i) {

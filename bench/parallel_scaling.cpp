@@ -1,7 +1,8 @@
 // Serial vs parallel throughput of the experiment runner on the 12-seed
-// soak workload, plus the determinism contract: every per-seed result
-// (drain, windows, steps, conservation inputs) must be BITWISE identical
-// to the serial path — fan-out may only change wall time, never physics.
+// soak workload (600-step generated programs), plus the determinism
+// contract: every per-seed result (drain, windows, steps, conservation
+// inputs) must be BITWISE identical to the serial path — fan-out may only
+// change wall time, never physics.
 //
 // Emits BENCH_parallel.json (machine-readable) so future PRs can track
 // the perf trajectory across commits and machines.
@@ -16,8 +17,9 @@
 #include <vector>
 
 #include "apps/testbed.h"
-#include "apps/workload.h"
 #include "exp/parallel_runner.h"
+#include "fuzz/executor.h"
+#include "fuzz/generator.h"
 
 namespace {
 
@@ -39,11 +41,16 @@ struct SoakResult {
 SoakResult run_seed(std::uint64_t seed) {
   apps::Testbed bed({.seed = seed});
   if (seed % 2 == 0) bed.server().lmk().set_budget_mb(400);
-  apps::RandomWorkload workload(bed, {.seed = seed});
+  fuzz::install_cast(bed);
   bed.start();
-  workload.run(kSteps);
-  bed.run_for(sim::seconds(1));
-  return SoakResult{workload.steps_taken(),
+  fuzz::ProgramExecutor executor(
+      bed, fuzz::generate({.seed = seed,
+                           .min_steps = kSteps,
+                           .max_steps = kSteps,
+                           .min_gap_us = 100'001,
+                           .max_gap_us = 2'100'007}));
+  executor.run();
+  return SoakResult{executor.steps_applied(),
                     bed.sim().now().seconds(),
                     bed.eandroid()->tracker().opened_total(),
                     bed.eandroid()->tracker().closed_total(),

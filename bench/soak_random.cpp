@@ -1,6 +1,7 @@
-// Soak bench: long randomized runs across many seeds, verifying the
-// global invariants hold at scale and reporting throughput (how much
-// simulated phone activity the stack processes per wall second).
+// Soak bench: long generated scenario programs (fuzz/generator.h)
+// across many seeds, verifying the global invariants hold at scale and
+// reporting throughput (how much simulated phone activity the stack
+// processes per wall second).
 //
 // Seeds are independent simulations, so they fan out across the
 // exp::ParallelRunner; results come back in seed order and are identical
@@ -13,8 +14,9 @@
 #include <vector>
 
 #include "apps/testbed.h"
-#include "apps/workload.h"
 #include "exp/parallel_runner.h"
+#include "fuzz/executor.h"
+#include "fuzz/generator.h"
 
 namespace {
 
@@ -35,11 +37,16 @@ struct SoakResult {
 SoakResult run_seed(std::uint64_t seed) {
   apps::Testbed bed({.seed = seed});
   if (seed % 2 == 0) bed.server().lmk().set_budget_mb(400);
-  apps::RandomWorkload workload(bed, {.seed = seed});
+  fuzz::install_cast(bed);
   bed.start();
-  workload.run(600);
-  bed.run_for(sim::seconds(1));
-  return SoakResult{workload.steps_taken(), bed.sim().now().seconds(),
+  fuzz::ProgramExecutor executor(
+      bed, fuzz::generate({.seed = seed,
+                           .min_steps = 600,
+                           .max_steps = 600,
+                           .min_gap_us = 100'001,
+                           .max_gap_us = 2'100'007}));
+  executor.run();
+  return SoakResult{executor.steps_applied(), bed.sim().now().seconds(),
                     bed.eandroid()->tracker().opened_total(),
                     bed.server().battery().consumed_total_mj(),
                     bed.eandroid()->engine().true_total_mj()};

@@ -4,14 +4,13 @@ namespace eandroid::core {
 
 EAndroid::EAndroid(framework::SystemServer& server, Mode mode,
                    EngineConfig config)
-    : tracker_(server),
-      engine_(server, tracker_,
-              [&] {
-                if (mode == Mode::kFrameworkOnly) {
-                  config.accounting_enabled = false;
-                }
-                return config;
-              }()),
+    : mode_(mode),
+      tracker_(server),
+      engine_(server, tracker_, config),
       interface_(server, engine_) {}
+
+void EAndroid::attach_to(energy::MeteringPipeline& pipeline) {
+  if (mode_ == Mode::kComplete) engine_.attach_to(pipeline);
+}
 
 }  // namespace eandroid::core

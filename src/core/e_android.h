@@ -12,7 +12,7 @@
 //   core::EAndroid ea(server);                 // subscribes to events
 //   energy::EnergySampler sampler(server);
 //   energy::MeteringPipeline pipeline;
-//   ea.engine().attach_to(pipeline);
+//   ea.attach_to(pipeline);
 //   sampler.set_pipeline(&pipeline);
 //   sampler.start();
 //   ...drive scenario...
@@ -42,6 +42,11 @@ class EAndroid {
   explicit EAndroid(framework::SystemServer& server,
                     Mode mode = Mode::kComplete, EngineConfig config = {});
 
+  /// Registers the engine on `pipeline` in kComplete mode. A
+  /// framework-only E-Android registers nothing, so its engine never sees
+  /// a slice while the tracker keeps following the framework.
+  void attach_to(energy::MeteringPipeline& pipeline);
+
   [[nodiscard]] WindowTracker& tracker() { return tracker_; }
   [[nodiscard]] const WindowTracker& tracker() const { return tracker_; }
   [[nodiscard]] EAndroidEngine& engine() { return engine_; }
@@ -54,6 +59,7 @@ class EAndroid {
   }
 
  private:
+  Mode mode_;
   WindowTracker tracker_;
   EAndroidEngine engine_;
   EAndroidBatteryInterface interface_;

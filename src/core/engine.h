@@ -43,9 +43,6 @@
 namespace eandroid::core {
 
 struct EngineConfig {
-  /// When false the engine drops slices on the floor: the paper's
-  /// "E-Android framework only" overhead configuration.
-  bool accounting_enabled = true;
   /// Ablation: when false only direct windows charge (no chains).
   bool chain_propagation = true;
 };
@@ -56,11 +53,9 @@ class EAndroidEngine : public energy::SliceFoldStage {
                  EngineConfig config = {});
 
   /// Registers the engine on `pipeline`: its direct store receives the
-  /// fused cell pass, and the two stages below bracket it. A
-  /// framework-only engine (accounting_enabled = false) registers
-  /// nothing, so it never sees a slice.
+  /// fused cell pass, and the two stages below bracket it.
   void attach_to(energy::MeteringPipeline& pipeline) {
-    if (config_.accounting_enabled) pipeline.set_engine(&direct_store_, this);
+    pipeline.set_engine(&direct_store_, this);
   }
 
   // --- MeteringPipeline stages (energy/pipeline.h) ---

@@ -1,8 +1,9 @@
 // InvariantChecker: global consistency checks, callable after any event.
 //
-// The chaos soak (bench/chaos_soak.cpp) runs hundreds of randomized
-// fault schedules and asks, after every run, whether the device is still
-// internally consistent. The checks encode the properties the rest of
+// The chaos suite (bench/suites/chaos.cfg, run by fuzz_sweep) replays
+// hundreds of long generated scenario programs, fault ops included, and
+// asks after every step whether the device is still internally
+// consistent. The checks encode the properties the rest of
 // the reproduction silently relies on:
 //
 //   * energy conservation — every profiler's total (BatteryStats,

@@ -50,7 +50,7 @@ DeviceContext::DeviceContext(DeviceSpec spec)
   if (spec_.with_eandroid) {
     eandroid_ = std::make_unique<core::EAndroid>(
         server_, spec_.eandroid_mode, *spec_.engine_config);
-    eandroid_->engine().attach_to(pipeline_);
+    eandroid_->attach_to(pipeline_);
   }
   pipeline_.set_battery_stats(&battery_stats_);
   pipeline_.set_power_tutor(&power_tutor_);

@@ -21,8 +21,8 @@
 // determinism, which the eviction-schedule differential tests verify
 // digest-for-digest.
 //
-// Corollary: a device mutated from outside the replay path (fault
-// injectors armed mid-run, processes spawned by a driver-thread poke)
+// Corollary: a device mutated from outside the replay path (scenario
+// programs armed on it, processes spawned by a driver-thread poke)
 // cannot be reconstructed by replay — the fleet PINS such devices
 // (Fleet::device marks them) so they are never evicted.
 #pragma once

@@ -5,6 +5,7 @@
 #include "apps/demo_app.h"
 #include "framework/intent.h"
 #include "framework/system_server.h"
+#include "obs/trace.h"
 #include "sim/check.h"
 
 namespace eandroid::fuzz {
@@ -20,9 +21,9 @@ const char* const kCastPackages[kCastSize] = {"com.fuzz.a", "com.fuzz.b",
 
 namespace {
 
-// The same four specs RandomWorkload installs, so fuzz programs exercise
-// the exact app behaviours (wakelock bug, push handling bursts, camera
-// sessions, settings privileges) the rest of the suite does.
+// The cast's roles (wakelock bug, push handling bursts, camera sessions,
+// settings privileges) are the stock demo apps the paper scenes use,
+// renamed into the com.fuzz namespace.
 std::vector<DemoAppSpec> cast_specs() {
   DemoAppSpec a = apps::victim_spec();
   a.package = kCastPackages[0];
@@ -104,6 +105,15 @@ framework::Context& ProgramExecutor::ctx(int app) {
 
 kernelsim::Uid ProgramExecutor::uid(int app) {
   return bed_.uid_of(kCastPackages[app]);
+}
+
+void ProgramExecutor::trace_fault(const Step& step) {
+  // Cold path: the literal is interned per call, and only when a recorder
+  // is attached.
+  EANDROID_TRACE_LIT(
+      bed_.sim().trace(), bed_.sim().now().micros(),
+      obs::TraceCategory::kFault, to_string(step.op),
+      op_has_actor(step.op) ? uid(step.app).value : -1, step.a);
 }
 
 void ProgramExecutor::apply(const Step& step) {
@@ -254,25 +264,33 @@ void ProgramExecutor::apply(const Step& step) {
       server.unplug_charger();
       break;
     case OpKind::kKillApp:
+      trace_fault(step);
       // No ctx(): killing must not spawn the process first. Double-kill of
       // an already-dead uid is a no-op in the server.
       server.kill_app(uid(step.app));
       break;
     case OpKind::kHangToggle: {
+      trace_fault(step);
       const kernelsim::Uid u = uid(step.app);
       server.set_app_hung(u, !server.app_hung(u));
       break;
     }
     case OpKind::kBinderFailWindow:
+      trace_fault(step);
       server.binder().fail_next(step.a);
       break;
     case OpKind::kDropBroadcasts:
+      trace_fault(step);
       server.broadcasts().drop_next(step.a);
       break;
     case OpKind::kDelayAlarms:
+      trace_fault(step);
       server.alarms().delay_pending(sim::millis(step.a));
       break;
     case OpKind::kBatteryExhaust:
+      trace_fault(step);
+      // deplete_to, not drain(): the cell collapses, but the device did
+      // not consume that energy, so the conservation ledger stays intact.
       server.battery().deplete_to(0.0, bed_.sim().now());
       break;
   }

@@ -76,6 +76,9 @@ class ProgramExecutor {
 
  private:
   void apply(const Step& step);
+  /// Records the `fault` trace mark of a fault op: named by the op's
+  /// token, on the actor's uid (-1 for device-wide ops), arg `a`.
+  void trace_fault(const Step& step);
   [[nodiscard]] framework::Context& ctx(int app);
   [[nodiscard]] kernelsim::Uid uid(int app);
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "fleet/fleet.h"
+#include "framework/system_server.h"
 #include "fuzz/executor.h"
 #include "sim/check.h"
 
@@ -158,6 +159,14 @@ Observed timed(const char* leg, OracleVerdict* verdict, const Fn& fn) {
 
 }  // namespace
 
+RecoveryCounts read_recovery(framework::SystemServer& server) {
+  return {.service_restarts = server.services().restarts_total(),
+          .anr_kills = server.anr_kills(),
+          .binder_failures = server.binder().failed_total(),
+          .broadcasts_dropped = server.broadcasts().dropped_total(),
+          .alarms_delayed = server.alarms().delayed_total()};
+}
+
 std::string OracleVerdict::to_string() const {
   std::ostringstream out;
   for (const std::string& f : failures) out << f << "\n";
@@ -199,6 +208,7 @@ OracleVerdict run_oracle(const ScenarioProgram& program,
       executor.check_now("end state");
       verdict.invariant_violations = executor.violations();
       verdict.steps_applied = executor.steps_applied();
+      verdict.recovery = read_recovery(bed.server());
     }
     verdict.timings.push_back({"single.invariants", watch.seconds()});
   }

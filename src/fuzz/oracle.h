@@ -7,7 +7,8 @@
 //   single-device legs — determinism (same spec twice), plus an
 //   InvariantChecker leg that runs the full consistency check after every
 //   step (its digest is never compared — mid-run sampler flushes move
-//   window boundaries);
+//   window boundaries) and reads the server's recovery counters at the
+//   end;
 //
 //   fleet legs — a 4-device serial reference (each device built alone and
 //   driven window by window with fleet::run_serially) against the
@@ -23,6 +24,10 @@
 #include <vector>
 
 #include "fuzz/program.h"
+
+namespace eandroid::framework {
+class SystemServer;
+}
 
 namespace eandroid::fuzz {
 
@@ -41,6 +46,29 @@ struct LegTiming {
   double seconds = 0.0;
 };
 
+/// How often the framework recovered from (or absorbed) a fault: the
+/// evidence that fault ops reached the code paths they target.
+struct RecoveryCounts {
+  std::uint64_t service_restarts = 0;
+  std::uint64_t anr_kills = 0;
+  std::uint64_t binder_failures = 0;
+  std::uint64_t broadcasts_dropped = 0;
+  std::uint64_t alarms_delayed = 0;
+
+  RecoveryCounts& operator+=(const RecoveryCounts& other) {
+    service_restarts += other.service_restarts;
+    anr_kills += other.anr_kills;
+    binder_failures += other.binder_failures;
+    broadcasts_dropped += other.broadcasts_dropped;
+    alarms_delayed += other.alarms_delayed;
+    return *this;
+  }
+  bool operator==(const RecoveryCounts&) const = default;
+};
+
+/// Reads the five counters off a device's server.
+[[nodiscard]] RecoveryCounts read_recovery(framework::SystemServer& server);
+
 struct OracleVerdict {
   /// One "leg: what diverged" line per broken equivalence.
   std::vector<std::string> failures;
@@ -50,6 +78,9 @@ struct OracleVerdict {
   std::vector<LegTiming> timings;
   /// Steps the reference run dispatched (sanity: == program.steps.size()).
   std::uint64_t steps_applied = 0;
+  /// The invariant leg's server counters at the end of the run (zero when
+  /// the single legs are off).
+  RecoveryCounts recovery;
 
   [[nodiscard]] bool ok() const {
     return failures.empty() && invariant_violations.empty();

@@ -201,6 +201,7 @@ SweepResult run_sweep(const SweepConfig& config) {
     for (SeedOutcome& outcome : outcomes) {
       ++result.scenarios_run;
       result.steps_total += outcome.verdict.steps_applied;
+      result.recovery += outcome.verdict.recovery;
       for (const LegTiming& t : outcome.verdict.timings) {
         leg_totals[t.leg] += t.seconds;
       }

@@ -74,6 +74,8 @@ struct SweepResult {
   std::vector<SweepFailure> failures;
   /// Per-leg wall-clock totals summed across every scenario.
   std::vector<LegTiming> leg_seconds;
+  /// Recovery counters summed across every scenario.
+  RecoveryCounts recovery;
   double elapsed_s = 0.0;
   bool budget_exhausted = false;
 

@@ -1,6 +1,6 @@
 // Observability: the per-device bundle of TraceRecorder + MetricsRegistry,
-// plus the ObsOptions knob that DeviceSpec / TestbedOptions / ChaosOptions
-// / FleetOptions all carry.
+// plus the ObsOptions knob that DeviceSpec / TestbedOptions / FleetOptions
+// all carry.
 //
 // Metrics are always on (a handful of vector bumps per slice); the trace
 // ring is only materialised when `trace` is requested, so the default

@@ -4,9 +4,8 @@
 // soaks and benches run — a bad uid handed to the framework would then
 // corrupt state silently instead of failing. EANDROID_CHECK stays active
 // in every build type and throws sim::CheckFailure, so a violating call
-// is an ordinary, catchable error: the chaos harness records it as an
-// invariant violation and the ParallelRunner propagates it with the seed
-// attached rather than taking the whole process down.
+// is an ordinary, catchable error: the ParallelRunner propagates it with
+// the seed attached rather than taking the whole process down.
 #pragma once
 
 #include <sstream>
@@ -16,7 +15,7 @@
 namespace eandroid::sim {
 
 /// Thrown when an EANDROID_CHECK fails. Carries the failing expression
-/// and location so a chaos schedule can print a reproducible report.
+/// and location so a failing seed can print a reproducible report.
 class CheckFailure : public std::logic_error {
  public:
   explicit CheckFailure(const std::string& what) : std::logic_error(what) {}

@@ -50,8 +50,7 @@ class Simulator {
   }
 
   /// Replay-style scheduling: an instant already in the past fires at the
-  /// current instant instead (insertion order preserved). Used by fault
-  /// plans, whose absolute schedules may start before they are armed.
+  /// current instant instead (insertion order preserved).
   EventHandle schedule_at_or_now(TimePoint when, EventQueue::Callback cb) {
     return queue_.push(when < now_ ? now_ : when, std::move(cb));
   }

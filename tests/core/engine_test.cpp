@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "core/e_android.h"
 #include "core/window_tracker.h"
 #include "framework/system_server.h"
 #include "sim/simulator.h"
@@ -216,13 +217,16 @@ TEST_F(EngineTest, ScreenCollateralFlowsUpChains) {
 }
 
 TEST_F(EngineTest, AccountingDisabledDropsEverything) {
-  EAndroidEngine disabled(server_, *tracker_,
-                          EngineConfig{.accounting_enabled = false});
+  // Accounting off is the framework-only mode: its engine is never
+  // registered on the pipeline, so slices are dropped on the floor.
+  EAndroid disabled(server_, Mode::kFrameworkOnly);
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  feed(disabled, slice_with({{"com.b", 100.0}}));
-  EXPECT_DOUBLE_EQ(disabled.true_total_mj(), 0.0);
-  EXPECT_DOUBLE_EQ(disabled.collateral_mj(uid("com.a")), 0.0);
+  energy::MeteringPipeline pipeline;
+  disabled.attach_to(pipeline);
+  pipeline.run(slice_with({{"com.b", 100.0}}));
+  EXPECT_DOUBLE_EQ(disabled.engine().true_total_mj(), 0.0);
+  EXPECT_DOUBLE_EQ(disabled.engine().collateral_mj(uid("com.a")), 0.0);
 }
 
 TEST_F(EngineTest, ChainAblationChargesOnlyDirectNeighbours) {

@@ -8,7 +8,7 @@
 #include "core/window.h"
 #include "framework/activity_manager.h"
 #include "framework/events.h"
-#include "sim/fault.h"
+#include "fuzz/program.h"
 
 namespace eandroid {
 namespace {
@@ -57,17 +57,17 @@ TEST(EnumStringsTest, ActivityStatesAllNamed) {
 }
 
 TEST(EnumStringsTest, FaultKindsAllNamed) {
-  using sim::FaultKind;
-  int named = 0;
-  for (FaultKind kind :
-       {FaultKind::kKillApp, FaultKind::kKillLockHolder, FaultKind::kHangApp,
-        FaultKind::kBinderFailure, FaultKind::kDropBroadcast,
-        FaultKind::kDelayAlarms, FaultKind::kBatteryExhaust}) {
-    EXPECT_STRNE(sim::to_string(kind), "?");
-    ++named;
+  // The grammar's fault ops; their tokens also name the `fault` trace
+  // marks, so each must round-trip.
+  using fuzz::OpKind;
+  for (OpKind op : {OpKind::kKillApp, OpKind::kHangToggle,
+                    OpKind::kBinderFailWindow, OpKind::kDropBroadcasts,
+                    OpKind::kDelayAlarms, OpKind::kBatteryExhaust}) {
+    OpKind parsed = OpKind::kUserLaunch;
+    EXPECT_TRUE(fuzz::op_from_string(fuzz::to_string(op), &parsed));
+    EXPECT_EQ(parsed, op);
   }
-  EXPECT_EQ(named, sim::kFaultKindCount);
-  EXPECT_STREQ(sim::to_string(FaultKind::kBatteryExhaust), "battery_exhaust");
+  EXPECT_STREQ(fuzz::to_string(OpKind::kBatteryExhaust), "battery_exhaust");
 }
 
 TEST(EnumStringsTest, AlertKindsAllNamed) {

@@ -21,7 +21,7 @@ using framework::testing::simple_manifest;
 /// registered.
 void feed(EAndroid& ea, const energy::EnergySlice& slice) {
   energy::MeteringPipeline pipeline;
-  ea.engine().attach_to(pipeline);
+  ea.attach_to(pipeline);
   pipeline.run(slice);
 }
 

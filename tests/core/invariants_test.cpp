@@ -63,7 +63,7 @@ TEST(InvariantsTest, BatteryDepletionFaultKeepsConservation) {
   bed.server().user_launch("com.example.message");
   bed.run_for(sim::seconds(5));
 
-  // The chaos exhaust fault: the cell collapses, but no energy was
+  // The battery_exhaust fault op: the cell collapses, but no energy was
   // consumed, so the conservation invariant must keep holding.
   bed.server().battery().deplete_to(0.0, bed.sim().now());
   bed.run_for(sim::seconds(2));

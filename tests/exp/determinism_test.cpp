@@ -1,9 +1,10 @@
 // The ParallelRunner contract: fanning independent Testbed simulations
-// across worker threads changes wall time and nothing else. Eight seeds
-// of RandomWorkload run once serially and once through the pool; every
-// per-seed observable must be bitwise identical. This test is the one the
-// TSan config (`-DEANDROID_SANITIZE=thread`, or the `check_tsan` target)
-// exercises to prove the logger and pool are race-free.
+// across worker threads changes wall time and nothing else. Eight
+// generated scenario programs run once serially and once through the
+// pool; every per-seed observable must be bitwise identical. This test is
+// the one the TSan config (`-DEANDROID_SANITIZE=thread`, or the
+// `check_tsan` target) exercises to prove the logger and pool are
+// race-free.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,8 +12,9 @@
 #include <vector>
 
 #include "apps/testbed.h"
-#include "apps/workload.h"
 #include "exp/parallel_runner.h"
+#include "fuzz/executor.h"
+#include "fuzz/generator.h"
 #include "sim/log.h"
 
 namespace eandroid::exp {
@@ -29,11 +31,15 @@ struct SeedResult {
 
 SeedResult run_seed(std::uint64_t seed) {
   apps::Testbed bed({.seed = seed});
-  apps::RandomWorkload workload(bed, {.seed = seed});
+  fuzz::install_cast(bed);
   bed.start();
-  workload.run(200);
-  bed.run_for(sim::seconds(1));
-  return SeedResult{workload.steps_taken(),
+  fuzz::ProgramExecutor executor(bed, fuzz::generate({.seed = seed,
+                                                      .min_steps = 200,
+                                                      .max_steps = 200,
+                                                      .min_gap_us = 100'001,
+                                                      .max_gap_us = 2'100'007}));
+  executor.run();
+  return SeedResult{executor.steps_applied(),
                     bed.sim().now().seconds(),
                     bed.eandroid()->tracker().opened_total(),
                     bed.eandroid()->tracker().closed_total(),

@@ -4,8 +4,8 @@
 //   * immutable configuration is genuinely shared: one PowerParams /
 //     Manifest object per fleet, aliased by every device;
 //   * per-device results are a pure function of the spec — bitwise
-//     identical across worker counts, repeated runs, and with faults
-//     injected on a subset of devices;
+//     identical across worker counts, repeated runs, and with fault-heavy
+//     scenario programs armed on a subset of devices;
 //   * the PushBroker's campaigns deliver deterministically and their
 //     energy lands on the sender's account (collateral attribution).
 //
@@ -22,9 +22,9 @@
 #include "apps/malware.h"
 #include "apps/testbed.h"
 #include "fleet/aggregate.h"
-#include "fleet/fault_actions.h"
 #include "fleet/fleet.h"
-#include "sim/fault.h"
+#include "fuzz/executor.h"
+#include "fuzz/generator.h"
 
 namespace eandroid::fleet {
 namespace {
@@ -167,20 +167,28 @@ TEST(FleetTest, DigestsIndependentOfEpochLength) {
 }
 
 TEST(FleetTest, ChaosOnASubsetIsWorkerCountIndependent) {
-  // Faults on every third device, via the same seeded plans the chaos
-  // harness uses; per-device digests must still be worker-count-invariant.
+  // A generated program (fault ops included) on every third device, next
+  // to the push campaign; per-device digests must still be
+  // worker-count-invariant.
   const auto run = [](unsigned workers) {
-    Fleet fleet(small_fleet_options(/*devices=*/24, workers));
+    FleetOptions options = small_fleet_options(/*devices=*/24, workers);
+    auto plan = std::make_shared<InstallPlan>(*options.install_plan);
+    const auto cast = fuzz::cast_install_plan();
+    for (const InstallPlan::Entry& app : cast->entries()) {
+      plan->add(app.manifest, app.make_code);
+    }
+    options.install_plan = plan;
+    Fleet fleet(options);
     fleet.broker().add_campaign(flood_campaign(6));
     fleet.start();
-    std::vector<std::unique_ptr<sim::FaultInjector>> injectors;
+    std::vector<std::unique_ptr<fuzz::ProgramExecutor>> executors;
     for (std::size_t i = 0; i < fleet.size(); i += 3) {
       DeviceContext& device = fleet.device(i);
-      const sim::FaultPlan plan = sim::FaultPlan::generate(
-          device.spec().seed, sim::seconds(10), /*count=*/5);
-      injectors.push_back(std::make_unique<sim::FaultInjector>(
-          device.sim(), default_fault_actions(device.server())));
-      injectors.back()->arm(plan);
+      executors.push_back(std::make_unique<fuzz::ProgramExecutor>(
+          device, fuzz::generate({.seed = device.spec().seed,
+                                  .min_steps = 8,
+                                  .max_steps = 12})));
+      executors.back()->arm();
     }
     fleet.run_for(sim::seconds(12));
     fleet.finish();

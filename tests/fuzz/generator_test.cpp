@@ -4,7 +4,9 @@
 // and the repair() normalizer the shrinker depends on.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "fuzz/generator.h"
@@ -22,6 +24,28 @@ TEST(GeneratorTest, SameSeedIsBitwiseIdentical) {
     EXPECT_EQ(first, second) << "seed " << seed;
     EXPECT_EQ(first.serialize(), second.serialize()) << "seed " << seed;
   }
+}
+
+std::string pinned(const std::string& name) {
+  std::ifstream in(std::string(EANDROID_FUZZ_PINNED_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(GeneratorTest, SeedOneIsPinned) {
+  // Every soak, the property tests, the fleet chaos test and the
+  // end-to-end fleet campaign run generated programs, so a grammar change
+  // must show up here as a deliberate diff, not as a silent change of
+  // workload. Two shapes: the defaults, and the end-to-end campaign's.
+  EXPECT_EQ(generate({.seed = 1}).serialize(), pinned("seed1_defaults.prog"));
+  EXPECT_EQ(generate({.seed = 1,
+                      .min_steps = 30,
+                      .max_steps = 30,
+                      .min_gap_us = 10'000'001,
+                      .max_gap_us = 70'000'003})
+                .serialize(),
+            pinned("seed1_e2e_fleet.prog"));
 }
 
 TEST(GeneratorTest, DifferentSeedsDiffer) {

@@ -104,6 +104,15 @@ TEST(SweepConfigTest, CommittedSuitesLoad) {
   EXPECT_EQ(smoke.max_steps, 24);
   EXPECT_EQ(smoke.time_budget_s, 55.0);
   EXPECT_EQ(smoke.artifacts_dir, "fuzz_artifacts");
+
+  const SweepConfig chaos = load_suite("chaos.cfg");
+  EXPECT_EQ(chaos.seeds, 500);
+  EXPECT_EQ(chaos.min_steps, 600);
+  EXPECT_EQ(chaos.max_steps, 600);
+  EXPECT_TRUE(chaos.single_legs);
+  EXPECT_FALSE(chaos.fleet_legs);
+  EXPECT_FALSE(chaos.trace);
+  EXPECT_EQ(chaos.time_budget_s, 0.0);
 }
 
 }  // namespace

@@ -1,24 +1,35 @@
 // Property-based tests: invariants that must hold under randomized event
-// interleavings (a fuzz harness over the whole device model, driven by
-// the reusable RandomWorkload generator).
+// interleavings (generated scenario programs, fault ops included, over
+// the whole device model).
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "apps/testbed.h"
-#include "apps/workload.h"
+#include "fuzz/executor.h"
+#include "fuzz/generator.h"
 
 namespace eandroid::apps {
 namespace {
+
+/// Installs the fuzz cast on `bed`, starts it, and replays the program of
+/// `seed` with exactly `steps` steps, 0.1-2.1 s apart, to its horizon.
+void run_program(Testbed& bed, std::uint64_t seed, int steps) {
+  fuzz::install_cast(bed);
+  bed.start();
+  fuzz::ProgramExecutor(bed, fuzz::generate({.seed = seed,
+                                             .min_steps = steps,
+                                             .max_steps = steps,
+                                             .min_gap_us = 100'001,
+                                             .max_gap_us = 2'100'007}))
+      .run();
+}
 
 class PropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PropertyTest, InvariantsHoldUnderRandomInterleavings) {
   Testbed bed({.seed = GetParam()});
-  RandomWorkload workload(bed, {.seed = GetParam()});
-  bed.start();
-  workload.run(120);
-  bed.run_for(sim::seconds(1));
+  run_program(bed, GetParam(), 120);
 
   auto* ea = bed.eandroid();
   ASSERT_NE(ea, nullptr);
@@ -78,10 +89,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest,
 TEST(DeterminismTest, SameSeedSameTrace) {
   auto run = [](std::uint64_t seed) {
     Testbed bed({.seed = seed});
-    RandomWorkload workload(bed, {.seed = seed});
-    bed.start();
-    workload.run(60);
-    bed.run_for(sim::seconds(1));
+    run_program(bed, seed, 60);
     return std::make_tuple(bed.server().battery().drained_mj(),
                            bed.eandroid()->tracker().opened_total(),
                            bed.eandroid()->tracker().closed_total(),
@@ -96,10 +104,7 @@ TEST(PropertyTest, LmkEnabledKeepsInvariants) {
   // break conservation or window bookkeeping.
   Testbed bed({.seed = 77});
   bed.server().lmk().set_budget_mb(400);
-  RandomWorkload workload(bed, {.seed = 77});
-  bed.start();
-  workload.run(150);
-  bed.run_for(sim::seconds(1));
+  run_program(bed, 77, 150);
   const double drained = bed.server().battery().consumed_total_mj();
   EXPECT_NEAR(bed.eandroid()->engine().true_total_mj(), drained, 1e-3);
   EXPECT_EQ(bed.eandroid()->tracker().opened_total(),

@@ -1,13 +1,14 @@
 // Differential contracts for the observability layer:
 //   * trace-derived energy re-summation — summing the nanojoule args of
 //     the sampler's `energy.slice` trace events reproduces the battery's
-//     consumed total within 1 mJ across 64 random chaos seeds (the
-//     trace is an independent record the meters can be validated
-//     against, in the spirit of arxiv 1701.07095);
+//     consumed total within 1 mJ across 64 generated scenario programs,
+//     fault ops included (the trace is an independent record the meters
+//     can be validated against, in the spirit of arxiv 1701.07095);
 //   * trace bytes and metrics snapshots are bitwise identical across
 //     fleet worker counts {1, 4, 8} — observability output is a pure
 //     function of the simulated history, never of how it was executed;
-//   * tracing a chaos run moves no bit of its digest.
+//   * tracing a generated program moves no bit of its energy digest or
+//     recovery counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,10 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "apps/chaos.h"
 #include "apps/demo_app.h"
 #include "fleet/aggregate.h"
 #include "fleet/fleet.h"
+#include "fuzz/executor.h"
+#include "fuzz/generator.h"
+#include "fuzz/oracle.h"
 #include "obs/export.h"
 
 namespace eandroid::obs {
@@ -60,40 +63,52 @@ ParsedTrace parse_trace(const std::string& text) {
   return parsed;
 }
 
-apps::ChaosOptions chaos_options(std::uint64_t seed, bool traced) {
-  apps::ChaosOptions options;
-  options.seed = seed;
-  options.workload_steps = 40;
-  options.fault_count = 8;
-  options.horizon = sim::seconds(30);
+struct ProgramRun {
+  std::string digest;
+  fuzz::RecoveryCounts recovery;
+  double consumed_mj = 0.0;
+  std::string trace_text;
+};
+
+/// Replays the generated 40-step program of `seed` on one device.
+ProgramRun run_program(std::uint64_t seed, bool traced) {
+  fleet::DeviceSpec spec;
+  spec.seed = seed;
   if (traced) {
-    options.obs.trace = true;
-    // Big enough that no chaos seed wraps the ring: a wrapped trace
-    // would silently lose slices and the re-summation below with it.
-    options.obs.trace_capacity = 1u << 20;
+    spec.obs.trace = true;
+    // Big enough that no program wraps the ring: a wrapped trace would
+    // silently lose slices and the re-summation below with it.
+    spec.obs.trace_capacity = 1u << 20;
   }
-  return options;
+  fleet::DeviceContext bed(spec);
+  fuzz::install_cast(bed);
+  bed.start();
+  fuzz::ProgramExecutor(
+      bed, fuzz::generate({.seed = seed, .min_steps = 40, .max_steps = 40}))
+      .run();
+  return {bed.energy_digest(), fuzz::read_recovery(bed.server()),
+          bed.server().battery().consumed_total_mj(), bed.trace_text()};
 }
 
 TEST(TraceResummationTest, SliceArgsReproduceBatteryTotalAcross64Seeds) {
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    const apps::ChaosResult result = run_chaos(chaos_options(seed, true));
-    ASSERT_FALSE(result.trace_text.empty()) << "seed " << seed;
-    const ParsedTrace parsed = parse_trace(result.trace_text);
+    const ProgramRun run = run_program(seed, true);
+    ASSERT_FALSE(run.trace_text.empty()) << "seed " << seed;
+    const ParsedTrace parsed = parse_trace(run.trace_text);
     ASSERT_EQ(parsed.dropped, 0u)
         << "seed " << seed << ": ring wrapped; raise trace_capacity";
     // llround error is ≤ 0.5 nJ per slice — the 1 mJ budget is five
     // orders of magnitude of headroom even over thousands of slices.
-    EXPECT_NEAR(parsed.slice_sum_mj, result.consumed_mj, 1.0)
-        << "seed " << seed;
+    EXPECT_NEAR(parsed.slice_sum_mj, run.consumed_mj, 1.0) << "seed " << seed;
   }
 }
 
 TEST(TraceResummationTest, TracingMovesNoBitOfTheChaosDigest) {
   for (std::uint64_t seed : {3u, 17u, 42u}) {
-    const apps::ChaosResult plain = run_chaos(chaos_options(seed, false));
-    const apps::ChaosResult traced = run_chaos(chaos_options(seed, true));
-    EXPECT_EQ(plain.digest(), traced.digest()) << "seed " << seed;
+    const ProgramRun plain = run_program(seed, false);
+    const ProgramRun traced = run_program(seed, true);
+    EXPECT_EQ(plain.digest, traced.digest) << "seed " << seed;
+    EXPECT_EQ(plain.recovery, traced.recovery) << "seed " << seed;
     EXPECT_TRUE(plain.trace_text.empty());
     EXPECT_FALSE(traced.trace_text.empty());
   }

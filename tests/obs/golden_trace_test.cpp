@@ -17,6 +17,7 @@
 // JSON form into obs_artifacts/ (uploaded by CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -25,9 +26,10 @@
 #include <string_view>
 #include <vector>
 
-#include "apps/chaos.h"
 #include "apps/scenarios.h"
 #include "apps/testbed.h"
+#include "fuzz/executor.h"
+#include "fuzz/program.h"
 
 namespace eandroid::obs {
 
@@ -143,16 +145,36 @@ TEST(GoldenTraceTest, Attack6WakelockLeak) {
   check_golden("attack6", result.trace_text, result.trace_json);
 }
 
-TEST(GoldenTraceTest, ChaosSeed7) {
-  apps::ChaosOptions options;
-  options.seed = 7;
-  options.workload_steps = 20;
-  options.fault_count = 8;
-  options.horizon = sim::seconds(20);
-  options.obs.trace = true;
-  options.obs.trace_capacity = 1u << 18;
-  const apps::ChaosResult result = apps::run_chaos(options);
-  check_golden("chaos_seed7", result.trace_text, /*chrome_json=*/"");
+TEST(GoldenTraceTest, FaultProgram) {
+  // A committed generated program holding all six fault ops; its replay
+  // restarts a crashed service and ANR-kills a hung app, so the golden
+  // pins the fault marks and the recovery events they cause.
+  std::string text;
+  ASSERT_TRUE(read_file(std::string(EANDROID_GOLDEN_DIR) +
+                            "/fault_program.prog",
+                        &text));
+  fuzz::ScenarioProgram program;
+  std::string error;
+  ASSERT_TRUE(fuzz::ScenarioProgram::parse(text, &program, &error)) << error;
+  for (fuzz::OpKind op :
+       {fuzz::OpKind::kKillApp, fuzz::OpKind::kHangToggle,
+        fuzz::OpKind::kBinderFailWindow, fuzz::OpKind::kDropBroadcasts,
+        fuzz::OpKind::kDelayAlarms, fuzz::OpKind::kBatteryExhaust}) {
+    EXPECT_TRUE(std::any_of(
+        program.steps.begin(), program.steps.end(),
+        [op](const fuzz::Step& step) { return step.op == op; }))
+        << "no " << fuzz::to_string(op) << " step";
+  }
+
+  apps::TestbedOptions options = traced_base();
+  options.seed = program.seed;
+  apps::Testbed bed(options);
+  fuzz::install_cast(bed);
+  bed.start();
+  fuzz::ProgramExecutor(bed, program).run();
+  EXPECT_GE(bed.server().services().restarts_total(), 1u);
+  EXPECT_GE(bed.server().anr_kills(), 1u);
+  check_golden("fault_program", bed.trace_text(), bed.chrome_trace());
 }
 
 }  // namespace
