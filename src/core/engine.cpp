@@ -175,19 +175,22 @@ const std::vector<AppIdx>& EAndroidEngine::closure_of(AppIdx root) {
   return out;
 }
 
-void EAndroidEngine::prepare_slice(const energy::EnergySlice& slice) {
+bool EAndroidEngine::prepare_slice(const energy::EnergySlice& slice) {
   assert(&slice.ids() == &ids_);
   (void)slice;
   // The window-derived structures only change when a window opens or
-  // closes; most slices reuse them untouched.
-  if (cached_generation_ != tracker_.generation()) {
-    rebuild_window_structures();
-  }
+  // closes (reset() zeroes the cached generation); most slices reuse them
+  // untouched.
+  if (cached_generation_ == tracker_.generation()) return true;
+  rebuild_window_structures();
+  return false;
 }
 
-void EAndroidEngine::fold_slice(const energy::EnergySlice& slice) {
+void EAndroidEngine::fold_slice(const energy::EnergySlice& slice,
+                                energy::FoldTape* tape) {
+  using energy::FoldTape;
   assert(&slice.ids() == &ids_);
-  system_row_mj_ += slice.system_mj;
+  FoldTape::add(system_row_mj_, slice.system_mj, tape);
 
   // 1. Collateral screen energy per driver (dense scratch); the direct
   // ("original") energy was folded by the pipeline's cell pass.
@@ -246,14 +249,14 @@ void EAndroidEngine::fold_slice(const energy::EnergySlice& slice) {
       }
     }
   }
-  screen_row_mj_ += slice.screen_mj - claimed_screen;
-  attributed_screen_mj_ += claimed_screen;
-  if (claimed_screen > 0.0) {
-    if (auto* m = server_.simulator().metrics()) {
-      m->observe(slice.screen_forced_by_wakelock ? coll_wakelock_metric_
-                                                 : coll_brightness_metric_,
-                 claimed_screen);
-    }
+  FoldTape::add(screen_row_mj_, slice.screen_mj - claimed_screen, tape);
+  FoldTape::add(attributed_screen_mj_, claimed_screen, tape);
+  obs::MetricsRegistry* const metrics = server_.simulator().metrics();
+  if (claimed_screen > 0.0 && metrics != nullptr) {
+    FoldTape::observe(*metrics,
+                      slice.screen_forced_by_wakelock ? coll_wakelock_metric_
+                                                      : coll_brightness_metric_,
+                      claimed_screen, tape);
   }
 
   // 2. Charge each driver's map: its own screen collateral plus, through
@@ -265,6 +268,7 @@ void EAndroidEngine::fold_slice(const energy::EnergySlice& slice) {
                  screen_coll_touched_.begin(), screen_coll_touched_.end(),
                  std::back_inserter(drivers_scratch_));
 
+  obs::TraceRecorder* const trace = server_.simulator().trace();
   double chained_slice_mj = 0.0;
   for (const AppIdx driver : drivers_scratch_) {
     if (maps_.size() <= driver) {
@@ -274,7 +278,9 @@ void EAndroidEngine::fold_slice(const energy::EnergySlice& slice) {
     has_map_[driver] = 1;
     DriverMap& map = maps_[driver];
     double driver_slice_mj = screen_coll_of(driver);
-    if (driver_slice_mj > 0.0) map.screen_mj += driver_slice_mj;
+    if (driver_slice_mj > 0.0) {
+      FoldTape::add(map.screen_mj, driver_slice_mj, tape);
+    }
     for (const AppIdx reached : closure_of(driver)) {
       if (slice.active_at(reached)) {
         const double mj = slice.sum_at(reached);
@@ -283,33 +289,30 @@ void EAndroidEngine::fold_slice(const energy::EnergySlice& slice) {
             map.from_app.resize(reached + 1, 0.0);
           }
           if (map.from_app[reached] == 0.0) map.from_touched.push_back(reached);
-          map.from_app[reached] += mj;
+          FoldTape::add(map.from_app[reached], mj, tape);
           driver_slice_mj += mj;
           chained_slice_mj += mj;
         }
       }
       const double reached_screen = screen_coll_of(reached);
       if (reached_screen > 0.0) {
-        map.screen_mj += reached_screen;
+        FoldTape::add(map.screen_mj, reached_screen, tape);
         driver_slice_mj += reached_screen;
       }
     }
     // Attribution breadcrumb: this driver was charged `driver_slice_mj`
     // collateral for this slice (nanojoules in the arg). Drivers iterate
     // in ascending index order, so trace bytes are canonical.
-    if (driver_slice_mj > 0.0) {
-      EANDROID_TRACE(server_.simulator().trace(),
-                     server_.simulator().now().micros(),
-                     obs::TraceCategory::kEnergy, coll_trace_name_,
+    if (driver_slice_mj > 0.0 && trace != nullptr) {
+      FoldTape::mark(*trace, obs::TraceCategory::kEnergy, coll_trace_name_,
                      ids_.uid_of(driver).value,
                      static_cast<std::int64_t>(
-                         std::llround(driver_slice_mj * 1e6)));
+                         std::llround(driver_slice_mj * 1e6)),
+                     server_.simulator().now().micros(), tape);
     }
   }
-  if (chained_slice_mj > 0.0) {
-    if (auto* m = server_.simulator().metrics()) {
-      m->observe(coll_chained_metric_, chained_slice_mj);
-    }
+  if (chained_slice_mj > 0.0 && metrics != nullptr) {
+    FoldTape::observe(*metrics, coll_chained_metric_, chained_slice_mj, tape);
   }
 }
 

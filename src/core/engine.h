@@ -60,12 +60,16 @@ class EAndroidEngine : public energy::SliceFoldStage {
 
   // --- MeteringPipeline stages (energy/pipeline.h) ---
   /// Pre-cell-pass stage: rebuilds the window-derived structures when the
-  /// tracker generation moved (hoisted out of the fold so the cell pass
-  /// runs against settled, pre-sized state).
-  void prepare_slice(const energy::EnergySlice& slice) override;
+  /// tracker generation moved or reset() ran (hoisted out of the fold so
+  /// the cell pass runs against settled, pre-sized state). Returns true
+  /// when nothing was rebuilt.
+  bool prepare_slice(const energy::EnergySlice& slice) override;
   /// Post-cell-pass stage: the system row and the collateral attribution
-  /// (paper Algorithm 1); emits the engine.collateral trace marks.
-  void fold_slice(const energy::EnergySlice& slice) override;
+  /// (paper Algorithm 1); emits the engine.collateral trace marks and the
+  /// engine.collateral_*_mj gauge observations. Logs all of it on `tape`
+  /// when the pipeline records.
+  void fold_slice(const energy::EnergySlice& slice,
+                  energy::FoldTape* tape) override;
 
   // --- Accounting results ---
   /// Energy mechanically attributed to the app itself ("original energy").

@@ -46,6 +46,7 @@ BatteryView BatteryStats::view() const {
 }
 
 void BatteryStats::reset() {
+  ++resets_;
   app_mj_.clear();
   screen_mj_ = 0.0;
   system_mj_ = 0.0;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <vector>
 
 #include "energy/battery_view.h"
@@ -17,7 +18,8 @@
 namespace eandroid::energy {
 
 /// Fed by the MeteringPipeline (energy/pipeline.h): bind_ids, then
-/// fold_app per active app and fold_tail once per slice.
+/// fold_app per active app and fold_tail once per slice, each logging
+/// its adds on the pipeline's FoldTape when it records.
 class BatteryStats {
  public:
   explicit BatteryStats(const framework::PackageManager& packages)
@@ -29,14 +31,14 @@ class BatteryStats {
   }
   /// Adds one active app's direct energy: its canonical part-order sum,
   /// cpu+camera+gps+wifi+audio, as slice.sum_at() associates it.
-  void fold_app(kernelsim::AppIdx idx, double direct_mj) {
+  void fold_app(kernelsim::AppIdx idx, double direct_mj, FoldTape* tape) {
     if (app_mj_.size() <= idx) app_mj_.resize(idx + 1, 0.0);
-    app_mj_[idx] += direct_mj;
+    FoldTape::add(app_mj_[idx], direct_mj, tape);
   }
   /// Per-slice tail: the policy rows (screen stays its own row here).
-  void fold_tail(const EnergySlice& slice) {
-    screen_mj_ += slice.screen_mj;
-    system_mj_ += slice.system_mj;
+  void fold_tail(const EnergySlice& slice, FoldTape* tape) {
+    FoldTape::add(screen_mj_, slice.screen_mj, tape);
+    FoldTape::add(system_mj_, slice.system_mj, tape);
   }
 
   [[nodiscard]] BatteryView view() const;
@@ -45,6 +47,8 @@ class BatteryStats {
   [[nodiscard]] double total_mj() const;
 
   void reset();
+  /// reset() calls so far (a reset drops the pipeline's recorded fold).
+  [[nodiscard]] std::uint64_t resets() const { return resets_; }
 
  private:
   const framework::PackageManager& packages_;
@@ -55,6 +59,7 @@ class BatteryStats {
   std::vector<double> app_mj_;
   double screen_mj_ = 0.0;
   double system_mj_ = 0.0;
+  std::uint64_t resets_ = 0;
 };
 
 }  // namespace eandroid::energy

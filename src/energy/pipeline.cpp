@@ -1,5 +1,7 @@
 #include "energy/pipeline.h"
 
+#include <algorithm>
+
 #include "energy/battery_stats.h"
 #include "energy/power_tutor.h"
 
@@ -15,14 +17,51 @@ MeteringPipeline::MeteringPipeline(obs::MetricsRegistry* metrics)
   }
 }
 
-void MeteringPipeline::run(const EnergySlice& slice) {
+std::uint64_t MeteringPipeline::accumulator_resets() const {
+  return (battery_stats_ != nullptr ? battery_stats_->resets() : 0) +
+         (power_tutor_ != nullptr ? power_tutor_->resets() : 0);
+}
+
+void MeteringPipeline::run(const EnergySlice& slice, bool slice_kept) {
   if (battery_stats_ != nullptr) battery_stats_->bind_ids(slice.ids());
   if (power_tutor_ != nullptr) power_tutor_->bind_ids(slice.ids());
 
   // Stage 1: settle per-slice state (window-structure rebuild, accumulator
   // pre-sizing) before any cell is read.
-  if (engine_stage_ != nullptr) engine_stage_->prepare_slice(slice);
+  const bool stage_settled =
+      engine_stage_ == nullptr || engine_stage_->prepare_slice(slice);
 
+  // The test-only fault seam (set_test_skip_part) reaches the engine's
+  // store alone; it is read once per run.
+  const int skip = test_skip_part_.load(std::memory_order_relaxed);
+  const std::uint64_t resets = accumulator_resets();
+  const bool unchanged = slice_kept && stage_settled && skip == last_skip_ &&
+                         resets == last_resets_;
+  last_skip_ = skip;
+  last_resets_ = resets;
+  unchanged_folds_ = unchanged ? std::min(unchanged_folds_ + 1, kReplay) : 0;
+
+  if (unchanged_folds_ == kReplay) {
+    tape_.replay(slice.end.micros());
+    ++replayed_;
+  } else if (unchanged_folds_ == kRecord) {
+    tape_.clear();
+    fold(slice, skip, &tape_);
+  } else {
+    fold(slice, skip, nullptr);
+  }
+
+  ++folds_;
+  cells_ += slice.active().size();
+  if (metrics_ != nullptr) {
+    metrics_->add(folds_metric_);
+    metrics_->add(cells_metric_,
+                  static_cast<std::uint64_t>(slice.active().size()));
+  }
+}
+
+void MeteringPipeline::fold(const EnergySlice& slice, int skip,
+                            FoldTape* tape) {
   // Stage 2: the fused walk over the active apps, ascending. Each app's
   // five parts are loaded once and added into every accumulator with the
   // same per-cell association as slice.sum_at().
@@ -32,10 +71,6 @@ void MeteringPipeline::run(const EnergySlice& slice) {
   const double* const gps_col = view.parts[2];
   const double* const wifi_col = view.parts[3];
   const double* const audio_col = view.parts[4];
-  // The test-only fault seam (set_test_skip_part) reaches the engine's
-  // store alone: loop-invariant, so the disarmed case costs one hoisted
-  // compare per part.
-  const int skip = test_skip_part_.load(std::memory_order_relaxed);
   // The engine's battery ground truth: total_mj()'s exact running sum.
   double running_total = slice.system_mj + slice.screen_mj;
   for (const kernelsim::AppIdx idx : *view.active) {
@@ -45,12 +80,14 @@ void MeteringPipeline::run(const EnergySlice& slice) {
     const double wifi = wifi_col[idx];
     const double audio = audio_col[idx];
     if (battery_stats_ != nullptr) {
-      battery_stats_->fold_app(idx, cpu + camera + gps + wifi + audio);
+      battery_stats_->fold_app(idx, cpu + camera + gps + wifi + audio, tape);
     }
     if (power_tutor_ != nullptr) {
-      power_tutor_->fold_app(idx, cpu, camera, gps, wifi, audio);
+      power_tutor_->fold_app(idx, cpu, camera, gps, wifi, audio, tape);
     }
     if (direct_ == nullptr) continue;
+    // The skip seam is loop-invariant: disarmed, it costs one hoisted
+    // compare per part.
     const double d_cpu = skip == 0 ? 0.0 : cpu;
     const double d_camera = skip == 1 ? 0.0 : camera;
     const double d_gps = skip == 2 ? 0.0 : gps;
@@ -59,30 +96,24 @@ void MeteringPipeline::run(const EnergySlice& slice) {
     running_total += d_cpu + d_camera + d_gps + d_wifi + d_audio;
     if (direct_->by_app.size() <= idx) direct_->by_app.resize(idx + 1);
     AppSliceEnergy& acc = direct_->by_app[idx];
-    acc.cpu_mj += d_cpu;
-    acc.camera_mj += d_camera;
-    acc.gps_mj += d_gps;
-    acc.wifi_mj += d_wifi;
-    acc.audio_mj += d_audio;
+    FoldTape::add(acc.cpu_mj, d_cpu, tape);
+    FoldTape::add(acc.camera_mj, d_camera, tape);
+    FoldTape::add(acc.gps_mj, d_gps, tape);
+    FoldTape::add(acc.wifi_mj, d_wifi, tape);
+    FoldTape::add(acc.audio_mj, d_audio, tape);
     for (const kernelsim::RoutineIdx r : slice.routines_at(idx)) {
-      acc.add_routine(r, slice.routine_mj_at(idx, r));
+      acc.add_routine(r, slice.routine_mj_at(idx, r), tape);
     }
   }
-  if (direct_ != nullptr) direct_->true_total_mj += running_total;
+  if (direct_ != nullptr) {
+    FoldTape::add(direct_->true_total_mj, running_total, tape);
+  }
 
   // Stage 3: per-slice tails (engine first — its collateral trace marks
   // precede the sampler's slice mark).
-  if (engine_stage_ != nullptr) engine_stage_->fold_slice(slice);
-  if (battery_stats_ != nullptr) battery_stats_->fold_tail(slice);
-  if (power_tutor_ != nullptr) power_tutor_->fold_tail(slice);
-
-  ++folds_;
-  cells_ += view.active->size();
-  if (metrics_ != nullptr) {
-    metrics_->add(folds_metric_);
-    metrics_->add(cells_metric_,
-                  static_cast<std::uint64_t>(view.active->size()));
-  }
+  if (engine_stage_ != nullptr) engine_stage_->fold_slice(slice, tape);
+  if (battery_stats_ != nullptr) battery_stats_->fold_tail(slice, tape);
+  if (power_tutor_ != nullptr) power_tutor_->fold_tail(slice, tape);
 }
 
 }  // namespace eandroid::energy

@@ -5,23 +5,22 @@
 
 namespace eandroid::energy {
 
-void PowerTutor::fold_tail(const EnergySlice& slice) {
+void PowerTutor::fold_tail(const EnergySlice& slice, FoldTape* tape) {
   // Screen policy: the foreground app pays. Kept in a small sorted-by-uid
-  // vector; the insert is one-time per app, the steady state is a binary
-  // search and an add.
+  // vector; the insert (of a +0.0 row, so every row is an accumulator) is
+  // one-time per app, the steady state is a binary search and an add.
   if (slice.foreground.valid()) {
     auto it = std::lower_bound(
         screen_by_uid_.begin(), screen_by_uid_.end(), slice.foreground,
         [](const auto& entry, kernelsim::Uid u) { return entry.first < u; });
-    if (it != screen_by_uid_.end() && it->first == slice.foreground) {
-      it->second += slice.screen_mj;
-    } else {
-      screen_by_uid_.insert(it, {slice.foreground, slice.screen_mj});
+    if (it == screen_by_uid_.end() || it->first != slice.foreground) {
+      it = screen_by_uid_.insert(it, {slice.foreground, 0.0});
     }
+    FoldTape::add(it->second, slice.screen_mj, tape);
   } else {
-    unattributed_screen_mj_ += slice.screen_mj;
+    FoldTape::add(unattributed_screen_mj_, slice.screen_mj, tape);
   }
-  system_mj_ += slice.system_mj;
+  FoldTape::add(system_mj_, slice.system_mj, tape);
 }
 
 double PowerTutor::screen_mj_of(kernelsim::Uid uid) const {
@@ -102,6 +101,7 @@ BatteryView PowerTutor::view() const {
 }
 
 void PowerTutor::reset() {
+  ++resets_;
   cpu_.clear();
   camera_.clear();
   gps_.clear();

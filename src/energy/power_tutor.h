@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -18,7 +19,8 @@
 namespace eandroid::energy {
 
 /// Fed by the MeteringPipeline (energy/pipeline.h): bind_ids, then
-/// fold_app per active app and fold_tail once per slice.
+/// fold_app per active app and fold_tail once per slice, each logging
+/// its adds on the pipeline's FoldTape when it records.
 class PowerTutor {
  public:
   explicit PowerTutor(const framework::PackageManager& packages)
@@ -30,7 +32,7 @@ class PowerTutor {
   }
   /// Adds one active app's five direct parts, one add per part column.
   void fold_app(kernelsim::AppIdx idx, double cpu, double camera, double gps,
-                double wifi, double audio) {
+                double wifi, double audio, FoldTape* tape) {
     if (cpu_.size() <= idx) {
       cpu_.resize(idx + 1, 0.0);
       camera_.resize(idx + 1, 0.0);
@@ -38,14 +40,14 @@ class PowerTutor {
       wifi_.resize(idx + 1, 0.0);
       audio_.resize(idx + 1, 0.0);
     }
-    cpu_[idx] += cpu;
-    camera_[idx] += camera;
-    gps_[idx] += gps;
-    wifi_[idx] += wifi;
-    audio_[idx] += audio;
+    FoldTape::add(cpu_[idx], cpu, tape);
+    FoldTape::add(camera_[idx], camera, tape);
+    FoldTape::add(gps_[idx], gps, tape);
+    FoldTape::add(wifi_[idx], wifi, tape);
+    FoldTape::add(audio_[idx], audio, tape);
   }
   /// Per-slice tail: the foreground screen policy plus the system row.
-  void fold_tail(const EnergySlice& slice);
+  void fold_tail(const EnergySlice& slice, FoldTape* tape);
 
   [[nodiscard]] BatteryView view() const;
   [[nodiscard]] double app_energy_mj(kernelsim::Uid uid) const;
@@ -56,6 +58,8 @@ class PowerTutor {
   [[nodiscard]] double total_mj() const;
 
   void reset();
+  /// reset() calls so far (a reset drops the pipeline's recorded fold).
+  [[nodiscard]] std::uint64_t resets() const { return resets_; }
 
  private:
   [[nodiscard]] double screen_mj_of(kernelsim::Uid uid) const;
@@ -78,6 +82,7 @@ class PowerTutor {
   std::vector<std::pair<kernelsim::Uid, double>> screen_by_uid_;
   double system_mj_ = 0.0;
   double unattributed_screen_mj_ = 0.0;  // screen on with no foreground app
+  std::uint64_t resets_ = 0;
 };
 
 }  // namespace eandroid::energy

@@ -160,10 +160,10 @@ bool EnergySampler::gather(sim::TimePoint now, sim::Duration window) {
   return false;
 }
 
-void EnergySampler::fold() {
-  // Fused first: one cell pass feeds every built-in accumulator; the
-  // external observers then see the same sealed slice.
-  if (pipeline_ != nullptr) pipeline_->run(slice_);
+void EnergySampler::fold(bool kept) {
+  // Fused first: one cell pass (or its replay) feeds every built-in
+  // accumulator; the external observers then see the same sealed slice.
+  if (pipeline_ != nullptr) pipeline_->run(slice_, kept);
   for (AccountingSink* sink : sinks_) sink->on_slice(slice_);
 }
 
@@ -178,24 +178,22 @@ void EnergySampler::tick() {
   // A kept slice is still sealed, and its total is the one computed when
   // it was built. total_mj() is a pure fold over the sealed slice —
   // computed once, reused by the battery, trace marker and metrics below.
-  if (!gather(now, window)) {
+  const bool kept = gather(now, window);
+  if (!kept) {
     slice_.seal();
     total_mj_ = slice_.total_mj();
   }
   const double total_mj = total_mj_;
 
-  // Net battery flow: consumption always drains; a connected charger
-  // back-fills at its rate over the same window.
-  server_.battery().drain(total_mj, now);
-  if (server_.battery().charging()) {
-    server_.battery().charge(server_.battery().charge_rate_mw() *
-                                 window.seconds(),
-                             now);
-  }
+  // One battery update: consumption drains, then a connected charger
+  // back-fills at its rate over the same window (the rate reads 0 while
+  // unplugged).
+  hw::Battery& battery = server_.battery();
+  battery.meter(total_mj, battery.charge_rate_mw() * window.seconds(), now);
 
   const clock::time_point t1 = stage_timing_ ? clock::now()
                                              : clock::time_point{};
-  fold();
+  fold(kept);
   if (stage_timing_) {
     const clock::time_point t2 = clock::now();
     stage_nanos_.gather_ns += static_cast<std::uint64_t>(

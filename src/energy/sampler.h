@@ -22,9 +22,13 @@
 // and the scalars compared by value — suspended flag, window length,
 // screen on, brightness, screen power, foreground uid, and the
 // wakelock-forced flag with its owner list — all match, then the sealed
-// slice and its total are kept and only begin/end move. Battery drain,
-// FOLD, the trace mark and the metrics run on every tick either way, so
-// the tick's outputs are the same bits as a full rebuild.
+// slice and its total are kept and only begin/end move. The pipeline is
+// told the slice was kept, and replays its recorded fold while the
+// window state holds still (energy/pipeline.h). The battery update (one
+// Battery::meter call: consumption, then the charger's back-fill), FOLD
+// or its replay, the sinks, the trace mark and the metrics run on every
+// tick either way, so the tick's outputs are the same bits as a full
+// rebuild.
 //
 // The tick is allocation-free in steady state: ONE EnergySlice lives for
 // the whole run and is reset (not reallocated) per rebuilt window,
@@ -84,7 +88,7 @@ class EnergySampler {
   // simulation's arithmetic — results are bit-identical either way.
   void enable_stage_timing(bool on) { stage_timing_ = on; }
   struct StageNanos {
-    std::uint64_t gather_ns = 0;  ///< gather + seal + battery flow
+    std::uint64_t gather_ns = 0;  ///< gather + seal + battery update
     std::uint64_t fold_ns = 0;    ///< pipeline run + external sinks
     std::uint64_t ticks = 0;      ///< ticks measured while timing was on
   };
@@ -97,8 +101,9 @@ class EnergySampler {
   /// the closed window into the persistent slice. Returns true when it
   /// kept the previous (sealed) slice instead.
   bool gather(sim::TimePoint now, sim::Duration window);
-  /// FOLD: fused pipeline first (when attached), then the sinks.
-  void fold();
+  /// FOLD: fused pipeline first (when attached; told whether GATHER kept
+  /// the slice), then the sinks.
+  void fold(bool kept);
 
   framework::SystemServer& server_;
   sim::Duration period_;

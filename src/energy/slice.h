@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "energy/fold_tape.h"
 #include "kernel/interner.h"
 #include "kernel/types.h"
 #include "sim/check.h"
@@ -47,11 +48,13 @@ struct AppSliceEnergy {
   std::vector<double> routine_mj;
   std::vector<kernelsim::RoutineIdx> routines;
 
-  void add_routine(kernelsim::RoutineIdx r, double mj) {
+  /// `tape` (nullable) logs the add for fold replay.
+  void add_routine(kernelsim::RoutineIdx r, double mj,
+                   FoldTape* tape = nullptr) {
     if (routine_mj.size() <= r) routine_mj.resize(r + 1, 0.0);
     if (mj == 0.0) return;
     if (routine_mj[r] == 0.0) routines.push_back(r);
-    routine_mj[r] += mj;
+    FoldTape::add(routine_mj[r], mj, tape);
   }
   [[nodiscard]] double routine_mj_of(kernelsim::RoutineIdx r) const {
     return r < routine_mj.size() ? routine_mj[r] : 0.0;

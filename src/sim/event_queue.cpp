@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "sim/check.h"
+
 namespace eandroid::sim {
 
 void EventQueue::sift_up(std::size_t i) {
@@ -43,6 +45,13 @@ void EventQueue::remove_root() {
 
 EventHandle EventQueue::schedule(TimePoint when, Duration period,
                                  Callback cb) {
+  // The running periodic's node must stay the heap minimum until it is
+  // re-keyed.
+  EANDROID_CHECK(running_ == kNoSlot || !(when < heap_.front().when),
+                 "event scheduled at " << when.micros()
+                                       << "us, before the running periodic "
+                                          "event's instant "
+                                       << heap_.front().when.micros() << "us");
   std::uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -55,7 +64,6 @@ EventHandle EventQueue::schedule(TimePoint when, Duration period,
   s.cb = std::move(cb);
   s.period = period;
   s.live = true;
-  s.in_heap = true;
   heap_.push_back(Node{when, next_seq_++, slot});
   sift_up(heap_.size() - 1);
   ++live_;
@@ -76,7 +84,6 @@ void EventQueue::release(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb = nullptr;
   s.live = false;
-  s.in_heap = false;
   // A generation that wraps to 0 would let an ancient handle alias a new
   // event: retire the slot instead.
   if (++s.gen != 0) free_.push_back(slot);
@@ -94,9 +101,9 @@ bool EventQueue::cancel(EventHandle h) {
   }
   s.live = false;
   --live_;
-  // A periodic event cancelled from inside its own callback has no heap
-  // node; fire_front() releases its slot once the callback returns.
-  if (!s.in_heap) return true;
+  // A periodic event cancelled from inside its own callback keeps its
+  // node at the root; fire_front() removes it once the callback returns.
+  if (slot == running_) return true;
   // The node cannot be removed from the middle of the heap; it is
   // discarded lazily when it reaches the head, or eagerly by compact()
   // once dead nodes outnumber live ones (the 64 floor keeps tiny queues
@@ -110,14 +117,16 @@ void EventQueue::compact() {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const Node node = heap_[i];
-    if (slots_[node.slot].live) {
+    if (slots_[node.slot].live || node.slot == running_) {
       heap_[kept++] = node;
     } else {
       release(node.slot);
     }
   }
   heap_.resize(kept);
-  // Floyd heapify: sift_down the internal nodes bottom-up.
+  // Floyd heapify: sift_down the internal nodes bottom-up. A running
+  // periodic's node was kept at index 0 and is the minimum, so it stays
+  // there.
   if (heap_.size() > 1) {
     for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
   }
@@ -125,7 +134,8 @@ void EventQueue::compact() {
 }
 
 void EventQueue::skip_cancelled() {
-  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
+  while (!heap_.empty() && heap_.front().slot != running_ &&
+         !slots_[heap_.front().slot].live) {
     release(heap_.front().slot);
     remove_root();
     --dead_;
@@ -140,6 +150,8 @@ TimePoint EventQueue::next_time() const {
 }
 
 EventQueue::Callback EventQueue::pop() {
+  EANDROID_CHECK(running_ == kNoSlot,
+                 "pop() from inside a periodic event's callback");
   skip_cancelled();
   assert(!heap_.empty());
   const std::uint32_t slot = heap_.front().slot;
@@ -151,43 +163,51 @@ EventQueue::Callback EventQueue::pop() {
 }
 
 void EventQueue::fire_front() {
+  EANDROID_CHECK(running_ == kNoSlot,
+                 "event loop re-entered from inside a periodic event's "
+                 "callback");
   skip_cancelled();
   assert(!heap_.empty());
-  const Node node = heap_.front();
-  remove_root();
+  const std::uint32_t slot = heap_.front().slot;
   // The callback runs from a local: events it schedules may grow slots_,
   // which must not move a running std::function.
-  Callback cb = std::move(slots_[node.slot].cb);
-  if (slots_[node.slot].period <= Duration(0)) {
+  Callback cb = std::move(slots_[slot].cb);
+  if (slots_[slot].period <= Duration(0)) {
     // One-shot: consume the event before running, exactly like pop(), so
     // a callback cancelling its own handle stays a no-op.
     --live_;
-    release(node.slot);
+    release(slot);
+    remove_root();
     cb();
     return;
   }
-  // Periodic: the slot stays reserved and live while the callback runs,
-  // with no heap node, so neither cancel() nor compact() can release it;
-  // cancel() from inside the callback is how a periodic timer stops
-  // itself.
-  slots_[node.slot].in_heap = false;
+  // Periodic: the node stays at the root, and the slot stays reserved
+  // and live while the callback runs; cancel() from inside the callback
+  // is how a periodic timer stops itself.
+  running_ = slot;
   try {
     cb();
   } catch (...) {
     // Propagating an exception consumes the event like a one-shot would.
-    if (slots_[node.slot].live) --live_;
-    release(node.slot);
+    running_ = kNoSlot;
+    if (slots_[slot].live) --live_;
+    release(slot);
+    remove_root();
     throw;
   }
-  Slot& s = slots_[node.slot];
+  running_ = kNoSlot;
+  Slot& s = slots_[slot];
   if (!s.live) {
-    release(node.slot);
+    release(slot);
+    remove_root();
     return;
   }
   s.cb = std::move(cb);
-  s.in_heap = true;
-  heap_.push_back(Node{node.when + s.period, next_seq_++, node.slot});
-  sift_up(heap_.size() - 1);
+  assert(heap_.front().slot == slot);
+  Node& node = heap_.front();
+  node.when = node.when + s.period;
+  node.seq = next_seq_++;
+  sift_down(0);
 }
 
 }  // namespace eandroid::sim

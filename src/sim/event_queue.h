@@ -15,9 +15,16 @@
 //
 // Periodic events (push_periodic / Simulator::every) are first-class: one
 // slot and one id live for the whole lifetime of the timer, and each
-// firing re-keys the same slot with `when + period` and a sequence number
-// taken after the callback returns — no fresh std::function, no slot
-// churn per tick. The 250 ms metering timer is one.
+// firing re-keys the same node IN PLACE. The node stays at the heap root
+// while its callback runs; afterwards it takes `when + period` and a
+// fresh sequence number, and one sift_down(0) moves it to its place — no
+// pop, no push, no fresh std::function. This is safe because the running
+// node is the unique minimum by (when, seq): everything the callback
+// schedules sorts after it (same instant, later seq, or later), and
+// compact()'s heapify leaves the minimum at index 0. Scheduling before
+// the running node's instant is therefore a checked error, as is
+// re-entering the run loop (fire_front / pop) from the callback. The
+// 250 ms metering timer is one such event.
 //
 // Memory stays proportional to the LIVE event count: cancel() marks the
 // slot dead and leaves its node in the heap, and when dead nodes buried
@@ -44,11 +51,12 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Schedules `cb` to run at absolute time `when`.
+  /// Schedules `cb` to run at absolute time `when`. While a periodic
+  /// callback runs, `when` before its instant is a checked error.
   EventHandle push(TimePoint when, Callback cb);
 
   /// Schedules `cb` to run at `first` and then every `period` after, until
-  /// cancelled. The slot is re-keyed in place by fire_front(): the
+  /// cancelled. The node is re-keyed in place by fire_front(): the
   /// callback object and the id are allocated once, at registration.
   EventHandle push_periodic(TimePoint first, Duration period, Callback cb);
 
@@ -62,21 +70,24 @@ class EventQueue {
   /// its callback runs).
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Time of the earliest pending event. Precondition: !empty().
+  /// Time of the earliest pending event (inside a periodic callback, the
+  /// running event's own instant). Precondition: !empty().
   [[nodiscard]] TimePoint next_time() const;
 
   /// Removes and returns the earliest pending event's callback. A
   /// periodic entry popped this way is removed for good (the simulator
   /// run loop uses fire_front() instead, which reschedules it).
-  /// Precondition: !empty().
+  /// Precondition: !empty(); a checked error inside a periodic callback.
   Callback pop();
 
-  /// Pops the earliest pending event and runs it. One-shot events are
-  /// consumed before they run. A periodic event's node leaves the heap
-  /// while its callback runs, and its slot stays reserved (a compaction
-  /// triggered from inside the callback cannot free or reuse it); it is
-  /// then re-keyed — same callback object, same id, next instant — unless
-  /// the callback cancelled it. Precondition: !empty().
+  /// Runs the earliest pending event. One-shot events are consumed
+  /// before they run. A periodic event's node stays at the root while
+  /// its callback runs, marked running so that cancel(), compact() and
+  /// the dead-head skip leave it alone; it is then re-keyed in place —
+  /// same callback object, same id, next instant — or released if the
+  /// callback cancelled it. A throwing callback is consumed like a
+  /// one-shot. Precondition: !empty(); a checked error inside a periodic
+  /// callback.
   void fire_front();
 
  private:
@@ -96,10 +107,9 @@ class EventQueue {
     std::uint32_t gen = 1;
     /// Scheduled and not cancelled: cancel() succeeds exactly when set.
     bool live = false;
-    /// A heap node references the slot (false while a periodic callback
-    /// runs, and for free slots).
-    bool in_heap = false;
   };
+
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   /// Min-heap order: earlier instant first, FIFO (seq) within an instant.
   [[nodiscard]] static bool earlier(const Node& a, const Node& b) {
@@ -118,11 +128,13 @@ class EventQueue {
   /// the free list.
   void release(std::uint32_t slot);
 
-  /// Drops dead (cancelled) nodes sitting at the head of the heap.
+  /// Drops dead (cancelled) nodes sitting at the head of the heap; stops
+  /// at the running periodic's node.
   void skip_cancelled();
 
-  /// Rebuilds the heap keeping only live nodes; O(size) but amortised
-  /// free because it runs only when dead nodes dominate.
+  /// Rebuilds the heap keeping only live nodes and the running one;
+  /// O(size) but amortised free because it runs only when dead nodes
+  /// dominate.
   void compact();
 
   std::vector<Node> heap_;
@@ -131,8 +143,12 @@ class EventQueue {
   std::vector<std::uint32_t> free_;
   /// Live events (what size() reports).
   std::size_t live_ = 0;
-  /// Cancelled nodes still buried in heap_.
+  /// Cancelled nodes still buried in heap_ (a cancelled running periodic
+  /// is not one: fire_front() removes it).
   std::size_t dead_ = 0;
+  /// Slot of the periodic event whose callback runs, its node at the root
+  /// of heap_; kNoSlot otherwise.
+  std::uint32_t running_ = kNoSlot;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -38,21 +38,16 @@ class Simulator {
   }
 
   /// Schedules `cb` at an absolute instant. Scheduling in the past is a
-  /// checked error (it used to clamp to now_ silently, which let ordering
-  /// bugs masquerade as same-instant events — fleet causal windows rely
-  /// on every injected instant being honest). Callers that legitimately
-  /// mean "this instant or as soon as possible" use schedule_at_or_now.
+  /// checked error: clamping it to now_ would let ordering bugs
+  /// masquerade as same-instant events, and fleet causal windows rely on
+  /// every injected instant being honest. The current instant is not the
+  /// past; an event scheduled at it fires after those already queued
+  /// there.
   EventHandle schedule_at(TimePoint when, EventQueue::Callback cb) {
     EANDROID_CHECK(when >= now_, "schedule_at in the past: when="
                                      << when.micros() << "us, now="
                                      << now_.micros() << "us");
     return queue_.push(when, std::move(cb));
-  }
-
-  /// Replay-style scheduling: an instant already in the past fires at the
-  /// current instant instead (insertion order preserved).
-  EventHandle schedule_at_or_now(TimePoint when, EventQueue::Callback cb) {
-    return queue_.push(when < now_ ? now_ : when, std::move(cb));
   }
 
   /// Cancels a pending event; returns false if it already ran.

@@ -108,6 +108,36 @@ TEST_F(EngineTest, OpenWindowChargesDrivenEnergyToDriver) {
   EXPECT_DOUBLE_EQ(engine_->direct_mj(uid("com.b")), 100.0);
 }
 
+TEST_F(EngineTest, WindowsMovingBetweenKeptSlicesAreFolded) {
+  // One slice handed over as kept on every run: the pipeline replays
+  // the recorded fold until the engine reports a window change, then
+  // folds in full against the new window set.
+  const energy::EnergySlice slice =
+      slice_with({{"com.a", 10.0}, {"com.b", 100.0}});
+  energy::MeteringPipeline pipeline;
+  engine_->attach_to(pipeline);
+  for (int i = 0; i < 4; ++i) pipeline.run(slice, /*slice_kept=*/i > 0);
+  ASSERT_EQ(pipeline.folds_replayed(), 1u);
+  EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 0.0);
+
+  server_.user_launch("com.a");
+  ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
+  pipeline.run(slice, true);
+  EXPECT_EQ(pipeline.folds_replayed(), 1u);
+  EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 100.0);
+  for (int i = 0; i < 3; ++i) pipeline.run(slice, true);
+  EXPECT_EQ(pipeline.folds_replayed(), 2u);
+  EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 400.0);
+
+  server_.user_launch("com.b");  // closes the window
+  pipeline.run(slice, true);
+  EXPECT_EQ(pipeline.folds_replayed(), 2u);
+  for (int i = 0; i < 3; ++i) pipeline.run(slice, true);
+  EXPECT_EQ(pipeline.folds_replayed(), 3u);
+  EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 400.0);
+  EXPECT_DOUBLE_EQ(engine_->direct_mj(uid("com.b")), 1200.0);
+}
+
 TEST_F(EngineTest, ClosedWindowStopsCharging) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));

@@ -70,11 +70,12 @@ struct RecordingStage : SliceFoldStage {
   double total_at_prepare = -1.0;
   double total_at_fold = -1.0;
 
-  void prepare_slice(const EnergySlice&) override {
+  bool prepare_slice(const EnergySlice&) override {
     events.push_back("prepare");
     total_at_prepare = store->true_total_mj;
+    return true;
   }
-  void fold_slice(const EnergySlice&) override {
+  void fold_slice(const EnergySlice&, FoldTape*) override {
     events.push_back("fold");
     total_at_fold = store->true_total_mj;
   }
@@ -162,6 +163,107 @@ TEST(MeteringPipelineTest, ActiveListFoldsMatchSliceSums) {
   EXPECT_DOUBLE_EQ(bs.total_mj(), app_total + 2 * (slice.screen_mj +
                                                    slice.system_mj));
   EXPECT_DOUBLE_EQ(pt.total_mj(), bs.total_mj());
+}
+
+/// Stage stub whose window state the test moves by hand.
+struct SettledStage : SliceFoldStage {
+  bool settled = true;
+  int folds = 0;
+  bool prepare_slice(const EnergySlice&) override { return settled; }
+  void fold_slice(const EnergySlice&, FoldTape*) override { ++folds; }
+};
+
+TEST(MeteringPipelineTest, ReplayNeedsThreeUnchangedFoldsAndMatchesFullFolds) {
+  const EnergySlice slice = make_slice();
+  framework::PackageManager packages;
+  // `replaying` is told the slice is kept; `full` folds every run.
+  struct Profilers {
+    explicit Profilers(const framework::PackageManager& p) : bs(p), pt(p) {
+      pipeline.set_battery_stats(&bs);
+      pipeline.set_power_tutor(&pt);
+      pipeline.set_engine(&store, &stage);
+    }
+    BatteryStats bs;
+    PowerTutor pt;
+    DirectStore store;
+    SettledStage stage;
+    MeteringPipeline pipeline;
+  };
+  Profilers replaying(packages);
+  Profilers full(packages);
+  auto run = [&](bool kept) {
+    replaying.pipeline.run(slice, kept);
+    full.pipeline.run(slice);
+  };
+  auto replays = [&] { return replaying.pipeline.folds_replayed(); };
+
+  run(false);  // a new slice: full fold
+  run(true);   // first unchanged fold: full
+  run(true);   // second: full, and recorded
+  EXPECT_EQ(replays(), 0u);
+  EXPECT_EQ(replaying.stage.folds, 3);
+  run(true);
+  run(true);
+  EXPECT_EQ(replays(), 2u);
+  EXPECT_EQ(replaying.stage.folds, 3);
+  EXPECT_GT(replaying.pipeline.replay_adds(), 0u);
+
+  // Each change costs three full folds before replay resumes.
+  const auto change_then_three = [&](auto&& change, auto&& undo) {
+    const std::uint64_t before = replays();
+    change();
+    run(true);
+    undo();
+    run(true);
+    run(true);
+    EXPECT_EQ(replays(), before);
+    run(true);
+    EXPECT_EQ(replays(), before + 1);
+  };
+  change_then_three([&] { replaying.stage.settled = false; },
+                    [&] { replaying.stage.settled = true; });
+  change_then_three(
+      [&] {
+        replaying.bs.reset();
+        full.bs.reset();
+      },
+      [] {});
+  change_then_three(
+      [&] {
+        replaying.pt.reset();
+        full.pt.reset();
+      },
+      [] {});
+  change_then_three([] { MeteringPipeline::set_test_skip_part(1); },
+                    [] {});
+  change_then_three([] { MeteringPipeline::set_test_skip_part(-1); },
+                    [] {});
+  EXPECT_EQ(replaying.pipeline.slices_folded(),
+            full.pipeline.slices_folded());
+  EXPECT_EQ(replaying.pipeline.cells_folded(), full.pipeline.cells_folded());
+
+  // Bit for bit what folding every run gives.
+  EXPECT_EQ(replaying.bs.total_mj(), full.bs.total_mj());
+  EXPECT_EQ(replaying.pt.total_mj(), full.pt.total_mj());
+  EXPECT_EQ(replaying.store.true_total_mj, full.store.true_total_mj);
+  for (const kernelsim::AppIdx idx : slice.active()) {
+    const kernelsim::Uid u = slice.uid_at(idx);
+    EXPECT_EQ(replaying.bs.app_energy_mj(u), full.bs.app_energy_mj(u));
+    for (const HwPart part : {HwPart::kCpu, HwPart::kCamera, HwPart::kGps,
+                              HwPart::kWifi, HwPart::kAudio}) {
+      EXPECT_EQ(replaying.pt.component_energy_mj(u, part),
+                full.pt.component_energy_mj(u, part));
+    }
+    const AppSliceEnergy& r = replaying.store.by_app[idx];
+    const AppSliceEnergy& f = full.store.by_app[idx];
+    EXPECT_EQ(r.cpu_mj, f.cpu_mj);
+    EXPECT_EQ(r.camera_mj, f.camera_mj);
+    EXPECT_EQ(r.gps_mj, f.gps_mj);
+    EXPECT_EQ(r.wifi_mj, f.wifi_mj);
+    EXPECT_EQ(r.audio_mj, f.audio_mj);
+    EXPECT_EQ(r.routine_mj, f.routine_mj);
+    EXPECT_EQ(r.routines, f.routines);
+  }
 }
 
 TEST(MeteringPipelineTest, UnfusedSinksStillRunAfterThePipeline) {

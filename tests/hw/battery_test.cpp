@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+
 namespace eandroid::hw {
 namespace {
 
@@ -46,15 +50,6 @@ TEST(BatteryTest, HistoryRecordsEveryPercentDrop) {
   EXPECT_EQ(battery.history()[2].when, sim::TimePoint(10));
 }
 
-TEST(BatteryTest, PercentDropCallbackFires) {
-  Battery battery(1.0);  // 3600 mJ; 1% = 36 mJ
-  std::vector<int> drops;
-  battery.set_on_percent_drop([&](int p) { drops.push_back(p); });
-  battery.drain(20.0, sim::TimePoint());  // -> 99.4%
-  battery.drain(60.0, sim::TimePoint());  // -> 97.7%: crosses 98 and 97
-  EXPECT_EQ(drops, (std::vector<int>{99, 98, 97}));
-}
-
 TEST(BatteryTest, DrainKeepsCountingConsumptionWhenEmpty) {
   Battery battery(1.0);  // 3600 mJ
   battery.drain(10'000.0, sim::TimePoint());
@@ -66,19 +61,72 @@ TEST(BatteryTest, DrainKeepsCountingConsumptionWhenEmpty) {
 TEST(BatteryTest, DepleteToSkipsConsumptionLedger) {
   Battery battery(1.0);  // 3600 mJ
   battery.drain(360.0, sim::TimePoint());
-  std::vector<int> drops;
-  battery.set_on_percent_drop([&](int p) { drops.push_back(p); });
+  const std::size_t before = battery.history().size();
 
   // The exhaust fault: the cell collapses, nothing was consumed.
   battery.deplete_to(0.0, sim::TimePoint(5));
   EXPECT_TRUE(battery.empty());
   EXPECT_DOUBLE_EQ(battery.consumed_total_mj(), 360.0);
-  ASSERT_FALSE(drops.empty());  // percent drops still announced
-  EXPECT_EQ(drops.back(), 0);
+  // Percent drops are still recorded: 89 down to 0, at the fault.
+  ASSERT_EQ(battery.history().size(), before + 90);
+  EXPECT_EQ(battery.history()[before].percent, 89);
+  EXPECT_EQ(battery.history().back().percent, 0);
+  EXPECT_EQ(battery.history().back().when, sim::TimePoint(5));
 
   // Depleting "up" is a no-op; deplete never adds charge.
   battery.deplete_to(100.0, sim::TimePoint(6));
   EXPECT_DOUBLE_EQ(battery.remaining_mj(), 0.0);
+}
+
+TEST(BatteryTest, PercentAndHistoryMatchAFreshFloorAfterEveryUpdate) {
+  // percent() is recomputed only when the charge leaves a band inside
+  // the current percent's interval; it must still equal the floor taken
+  // after every update, and the history must step through every percent
+  // between two updates. Seeded flows from 1e-9 mJ to a percent and
+  // more, alternating 1,000-update drain and charge phases (each crosses
+  // the whole range), plus collapses onto a percent boundary, one ulp
+  // below it and just past the floor's 1e-9 allowance.
+  Battery battery(1.0);  // 3600 mJ; 1% = 36 mJ
+  auto floor_percent = [&battery] {
+    return static_cast<int>(std::floor(
+        100.0 * battery.remaining_mj() / battery.capacity_mj() + 1e-9));
+  };
+  std::uint64_t rng = 0x2545f4914f6cdd1dull;
+  auto uniform = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return static_cast<double>(rng >> 11) * 0x1.0p-53;
+  };
+  const double sizes[] = {1e-9, 1e-6, 0.36, 3.6, 36.0};
+  int previous = battery.percent();
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t before = battery.history().size();
+    if (i % 97 == 0) {
+      const double boundary = 36.0 * std::floor(battery.remaining_mj() / 36.0);
+      const double targets[] = {boundary, std::nextafter(boundary, 0.0),
+                                boundary - 36e-9};
+      battery.deplete_to(targets[(i / 97) % 3], sim::TimePoint(i));
+    } else {
+      const bool charging = (i / 1000) % 2 == 1;
+      battery.meter(sizes[i % 5] * uniform(),
+                    charging ? 2.0 * sizes[(i / 7) % 5] * uniform() : 0.0,
+                    sim::TimePoint(i));
+    }
+    const int now = floor_percent();
+    ASSERT_EQ(battery.percent(), now) << "update " << i;
+    const auto steps = static_cast<std::size_t>(std::abs(now - previous));
+    ASSERT_EQ(battery.history().size(), before + steps) << "update " << i;
+    for (std::size_t k = 0; k < steps; ++k) {
+      const int step = now > previous ? 1 : -1;
+      ASSERT_EQ(battery.history()[before + k].percent,
+                previous + step * static_cast<int>(k + 1));
+      ASSERT_EQ(battery.history()[before + k].when, sim::TimePoint(i));
+    }
+    previous = now;
+  }
+  // The phases really did sweep the range.
+  EXPECT_GT(battery.history().size(), 1000u);
 }
 
 TEST(BatteryTest, ManySmallDrainsMatchOneBigDrain) {

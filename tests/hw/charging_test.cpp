@@ -59,6 +59,25 @@ TEST(ChargerIntegrationTest, PluggedDeviceGainsCharge) {
   EXPECT_LT(bed.server().battery().remaining_mj(), at_unplug);
 }
 
+TEST(ChargerIntegrationTest, FullPhoneOnTheChargerKeepsItsHistoryBounded) {
+  // Each tick's consumption and the charger's back-fill are one update:
+  // a phone held at full neither drops to 99% nor records the round
+  // trip. (Applied as two updates, a simulated day appended 691,200
+  // points.)
+  apps::Testbed bed;
+  bed.install<apps::DemoApp>(apps::message_spec());
+  bed.start();
+  bed.server().plug_charger(5000.0);
+  bed.server().user_launch("com.example.message");
+  bed.run_for(sim::hours(24));
+  const Battery& battery = bed.server().battery();
+  EXPECT_TRUE(battery.full());
+  EXPECT_EQ(battery.percent(), 100);
+  EXPECT_EQ(battery.history().size(), 1u);
+  EXPECT_EQ(bed.sampler().slices_emitted(), 24u * 3600 * 4);
+  EXPECT_GT(battery.consumed_total_mj(), 0.0);
+}
+
 TEST(ChargerIntegrationTest, PowerConnectedBroadcastDelivered) {
   apps::Testbed bed;
   apps::DemoAppSpec spec = apps::message_spec();

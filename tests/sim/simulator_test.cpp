@@ -76,16 +76,6 @@ TEST(SimulatorTest, ScheduleAtInThePastIsACheckedError) {
   EXPECT_EQ(fired, TimePoint() + seconds(5));
 }
 
-TEST(SimulatorTest, ScheduleAtOrNowClampsPastTimes) {
-  Simulator sim;
-  sim.run_for(seconds(5));
-  TimePoint fired;
-  sim.schedule_at_or_now(TimePoint() + seconds(1),
-                         [&] { fired = sim.now(); });
-  sim.run_for(seconds(1));
-  EXPECT_EQ(fired, TimePoint() + seconds(5));
-}
-
 TEST(SimulatorTest, EveryRepeatsUntilStopped) {
   Simulator sim;
   int count = 0;
