@@ -1,9 +1,11 @@
 // Figure 5: attack-lifecycle state machines.
 //
 // Exercises each of the five machines with a canonical event sequence and
-// prints the resulting window open/close trace, so the Fig 5 transitions
-// can be read off directly.
+// prints every window open and close with the framework event that caused
+// it, so the Fig 5 transitions can be read off directly.
+#include <cstdint>
 #include <cstdio>
+#include <map>
 
 #include "apps/demo_app.h"
 #include "apps/malware.h"
@@ -15,16 +17,37 @@ using namespace eandroid;
 using apps::DemoApp;
 using apps::Testbed;
 
-void dump_trace(Testbed& bed, const char* title) {
+/// Prints `title`, then every window that opens or closes on `bed` from
+/// here on: a bus listener subscribed after the tracker diffs
+/// open_windows() on each framework event and names that event as the
+/// cause.
+void trace_windows(Testbed& bed, const char* title) {
   std::printf("--- %s ---\n", title);
-  for (const auto& t : bed.eandroid()->tracker().trace()) {
-    std::printf("  [%s] %-5s %-9s driver=uid%d driven=uid%d  (%s)\n",
-                sim::format_time(t.when).c_str(), t.opened ? "open" : "close",
-                core::to_string(t.kind), t.driver.value, t.driven.value,
-                t.reason.c_str());
-  }
-  bed.eandroid()->tracker().clear_trace();
-  std::printf("\n");
+  bed.server().events().subscribe(
+      [&bed, seen = std::map<std::uint64_t, core::Window>{}](
+          const framework::FwEvent& event) mutable {
+        const auto print = [&](const char* what, const core::Window& w) {
+          std::printf("  [%s] %-5s %-9s driver=uid%d driven=uid%d  (%s)\n",
+                      sim::format_time(bed.sim().now()).c_str(), what,
+                      core::to_string(w.kind), w.driver.value, w.driven.value,
+                      framework::to_string(event.type));
+        };
+        const auto& open = bed.eandroid()->tracker().open_windows();
+        for (auto it = seen.begin(); it != seen.end();) {
+          if (open.contains(it->first)) {
+            ++it;
+            continue;
+          }
+          print("close", it->second);
+          it = seen.erase(it);
+        }
+        std::map<std::uint64_t, core::Window> opened;
+        for (const auto& [id, w] : open) {
+          if (!seen.contains(id)) opened.emplace(id, w);
+        }
+        for (const auto& [id, w] : opened) print("open", w);
+        seen.merge(opened);
+      });
 }
 
 }  // namespace
@@ -38,6 +61,7 @@ int main() {
 
   {  // (a) Activity: start by another app; ends when started again.
     Testbed bed;
+    trace_windows(bed, "(a) activity: cross-app start ... user restart");
     bed.install<DemoApp>(apps::message_spec());
     bed.install<DemoApp>(apps::camera_spec());
     bed.start();
@@ -47,11 +71,12 @@ int main() {
         .start_activity(Intent::explicit_for("com.example.camera", "Main"));
     bed.sim().run_for(sim::seconds(5));
     bed.server().user_launch("com.example.camera");  // end event
-    dump_trace(bed, "(a) activity: cross-app start ... user restart");
+    std::printf("\n");
   }
 
   {  // (b) Interrupting activity: ends when the victim returns to front.
     Testbed bed;
+    trace_windows(bed, "(b) interrupt: forced to background ... resumed");
     bed.install<DemoApp>(apps::message_spec());
     apps::DemoAppSpec mal = apps::message_spec();
     mal.package = "com.evil.popup";
@@ -62,11 +87,14 @@ int main() {
     bed.context_of("com.evil.popup").start_home();  // forces message away
     bed.sim().run_for(sim::seconds(5));
     bed.server().user_switch_to("com.example.message");  // back to front
-    dump_trace(bed, "(b) interrupt: forced to background ... resumed");
+    std::printf("\n");
   }
 
   {  // (c) Service: bind survives stopService; ends at unbind.
     Testbed bed;
+    trace_windows(bed,
+                  "(c) service: bind+start ... stop (window survives) "
+                  "... unbind");
     apps::DemoAppSpec victim = apps::victim_spec();
     victim.wakelock_bug = false;
     victim.exit_dialog = false;
@@ -87,12 +115,12 @@ int main() {
                                            DemoApp::kService));
     bed.sim().run_for(sim::seconds(2));
     bed.context_of("com.evil.client").unbind_service(*binding);
-    dump_trace(bed, "(c) service: bind+start ... stop (window survives) "
-                    "... unbind");
+    std::printf("\n");
   }
 
   {  // (d) Screen: brightness escalation; ends when the user intervenes.
     Testbed bed;
+    trace_windows(bed, "(d) screen: background increase ... user reset");
     apps::DemoAppSpec mal = apps::message_spec();
     mal.package = "com.evil.bright";
     mal.permissions = {framework::Permission::kWriteSettings};
@@ -103,11 +131,12 @@ int main() {
     bed.context_of("com.evil.bright").set_brightness(240);
     bed.sim().run_for(sim::seconds(5));
     bed.server().user_set_brightness(100);  // user takes control back
-    dump_trace(bed, "(d) screen: background increase ... user reset");
+    std::printf("\n");
   }
 
   {  // (e) Wakelock: acquired in background; ends at release.
     Testbed bed;
+    trace_windows(bed, "(e) wakelock: background acquire ... release");
     apps::DemoAppSpec mal = apps::message_spec();
     mal.package = "com.evil.lock";
     mal.permissions = {framework::Permission::kWakeLock};
@@ -117,7 +146,7 @@ int main() {
                     .acquire_wakelock(WakelockType::kScreenBright, "trace");
     bed.sim().run_for(sim::seconds(5));
     bed.context_of("com.evil.lock").release_wakelock(*lock);
-    dump_trace(bed, "(e) wakelock: background acquire ... release");
+    std::printf("\n");
   }
 
   return 0;

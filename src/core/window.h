@@ -46,14 +46,4 @@ struct Window {
   std::string component;
 };
 
-/// One line of the tracker's trace (used by tests and the Fig 5 bench).
-struct WindowTrace {
-  bool opened = true;
-  WindowKind kind{};
-  kernelsim::Uid driver;
-  kernelsim::Uid driven;
-  sim::TimePoint when;
-  std::string reason;
-};
-
 }  // namespace eandroid::core

@@ -1,15 +1,11 @@
 #include "core/window_tracker.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "framework/push_service.h"
-#include "sim/log.h"
 
 namespace eandroid::core {
-
-namespace {
-constexpr std::size_t kTraceCap = 4096;
-}
 
 const char* to_string(WindowKind kind) {
   switch (kind) {
@@ -38,8 +34,7 @@ kernelsim::Uid WindowTracker::foreground() const {
 }
 
 Window& WindowTracker::open_window(WindowKind kind, kernelsim::Uid driver,
-                                   kernelsim::Uid driven,
-                                   const char* reason) {
+                                   kernelsim::Uid driven) {
   const std::uint64_t id = next_window_++;
   Window window;
   window.id = id;
@@ -50,32 +45,15 @@ Window& WindowTracker::open_window(WindowKind kind, kernelsim::Uid driver,
   auto [it, inserted] = windows_.emplace(id, std::move(window));
   ++opened_total_;
   ++generation_;
-  if (trace_.size() < kTraceCap) {
-    trace_.push_back(WindowTrace{true, kind, driver, driven,
-                                 server_.simulator().now(), reason});
-  }
-  EA_LOG(kDebug, server_.simulator().now(), "e-android")
-      << "open " << to_string(kind) << " window " << driver.value << " -> "
-      << driven.value << " (" << reason << ")";
   return it->second;
 }
 
-void WindowTracker::close_window(std::uint64_t id, const char* reason) {
+void WindowTracker::close_window(std::uint64_t id) {
   auto it = windows_.find(id);
   if (it == windows_.end()) return;
-  const Window window = it->second;
   windows_.erase(it);
   ++closed_total_;
   ++generation_;
-  if (trace_.size() < kTraceCap) {
-    trace_.push_back(WindowTrace{false, window.kind, window.driver,
-                                 window.driven, server_.simulator().now(),
-                                 reason});
-  }
-  EA_LOG(kDebug, server_.simulator().now(), "e-android")
-      << "close " << to_string(window.kind) << " window "
-      << window.driver.value << " -> " << window.driven.value << " ("
-      << reason << ")";
 }
 
 bool WindowTracker::has_window(WindowKind kind, kernelsim::Uid driver,
@@ -96,7 +74,6 @@ const Window* WindowTracker::find_window(WindowKind kind,
 }
 
 void WindowTracker::handle(const framework::FwEvent& event) {
-  if (!enabled_) return;
   using framework::FwEventType;
   switch (event.type) {
     case FwEventType::kActivityStart: on_activity_start(event); break;
@@ -128,7 +105,7 @@ void WindowTracker::on_activity_start(const framework::FwEvent& event) {
       to_close.push_back(id);
     }
   }
-  for (std::uint64_t id : to_close) close_window(id, "driven app restarted");
+  for (std::uint64_t id : to_close) close_window(id);
 
   // A new window opens when a *different, non-system* app drives the
   // start and the driven app is a normal app.
@@ -136,7 +113,7 @@ void WindowTracker::on_activity_start(const framework::FwEvent& event) {
   if (event.driving == event.driven) return;
   if (is_system(event.driving) || is_system(event.driven)) return;
   Window& window = open_window(WindowKind::kActivity, event.driving,
-                               event.driven, "cross-app startActivity");
+                               event.driven);
   window.component = event.component;
 }
 
@@ -149,13 +126,12 @@ void WindowTracker::on_move_to_front(const framework::FwEvent& event) {
       to_close.push_back(id);
     }
   }
-  for (std::uint64_t id : to_close) close_window(id, "driven moved to front");
+  for (std::uint64_t id : to_close) close_window(id);
 
   if (event.by_user) return;
   if (event.driving == event.driven) return;
   if (is_system(event.driving) || is_system(event.driven)) return;
-  open_window(WindowKind::kActivity, event.driving, event.driven,
-              "cross-app moveTaskToFront");
+  open_window(WindowKind::kActivity, event.driving, event.driven);
 }
 
 void WindowTracker::on_interrupt(const framework::FwEvent& event) {
@@ -163,8 +139,7 @@ void WindowTracker::on_interrupt(const framework::FwEvent& event) {
   if (is_system(event.driving) || is_system(event.driven)) return;
   if (event.driving == event.driven) return;
   if (has_window(WindowKind::kInterrupt, event.driving, event.driven)) return;
-  open_window(WindowKind::kInterrupt, event.driving, event.driven,
-              "foreground app interrupted");
+  open_window(WindowKind::kInterrupt, event.driving, event.driven);
 }
 
 void WindowTracker::on_foreground_change(const framework::FwEvent& event) {
@@ -178,7 +153,7 @@ void WindowTracker::on_foreground_change(const framework::FwEvent& event) {
       to_close.push_back(id);
     }
   }
-  for (std::uint64_t id : to_close) close_window(id, "driven app resumed");
+  for (std::uint64_t id : to_close) close_window(id);
 
   // Fig 5e: a wakelock not released before its holder enters background
   // starts a wakelock collateral window.
@@ -192,7 +167,7 @@ void WindowTracker::on_foreground_change(const framework::FwEvent& event) {
           });
       if (already) continue;
       Window& window = open_window(WindowKind::kWakelock, old_fg,
-                                   kernelsim::Uid{}, "holder left foreground");
+                                   kernelsim::Uid{});
       window.wakelock_handle = handle;
     }
   }
@@ -220,7 +195,7 @@ void WindowTracker::on_service_event(const framework::FwEvent& event) {
       Window* window = find_service_window(event.driving);
       if (window == nullptr) {
         window = &open_window(WindowKind::kService, event.driving,
-                              event.driven, "cross-app startService");
+                              event.driven);
         window->component = event.component;
       }
       window->started = true;
@@ -240,7 +215,7 @@ void WindowTracker::on_service_event(const framework::FwEvent& event) {
         window.started = false;
         if (window.bindings.empty()) to_close.push_back(id);
       }
-      for (std::uint64_t id : to_close) close_window(id, "service stopped");
+      for (std::uint64_t id : to_close) close_window(id);
       break;
     }
     case FwEventType::kServiceBind: {
@@ -248,7 +223,7 @@ void WindowTracker::on_service_event(const framework::FwEvent& event) {
       Window* window = find_service_window(event.driving);
       if (window == nullptr) {
         window = &open_window(WindowKind::kService, event.driving,
-                              event.driven, "cross-app bindService");
+                              event.driven);
         window->component = event.component;
       }
       window->bindings.insert(event.handle);
@@ -265,7 +240,7 @@ void WindowTracker::on_service_event(const framework::FwEvent& event) {
           to_close.push_back(id);
         }
       }
-      for (std::uint64_t id : to_close) close_window(id, "unbound");
+      for (std::uint64_t id : to_close) close_window(id);
       break;
     }
     default: break;
@@ -280,7 +255,7 @@ void WindowTracker::on_brightness_change(const framework::FwEvent& event) {
     for (const auto& [id, window] : windows_) {
       if (window.kind == WindowKind::kScreen) to_close.push_back(id);
     }
-    for (std::uint64_t id : to_close) close_window(id, "user set brightness");
+    for (std::uint64_t id : to_close) close_window(id);
     return;
   }
 
@@ -296,7 +271,7 @@ void WindowTracker::on_brightness_change(const framework::FwEvent& event) {
     // Fig 5d begin: enhance brightness under manual mode.
     if (mine == nullptr) {
       Window& window = open_window(WindowKind::kScreen, event.driving,
-                                   kernelsim::Uid{}, "brightness increased");
+                                   kernelsim::Uid{});
       window.baseline_brightness = event.brightness_before;
     }
     return;
@@ -304,7 +279,7 @@ void WindowTracker::on_brightness_change(const framework::FwEvent& event) {
 
   // Decrease by the attacking app: over once back at (or below) baseline.
   if (mine != nullptr && event.brightness_after <= mine->baseline_brightness) {
-    close_window(mine->id, "attacker restored brightness");
+    close_window(mine->id);
   }
 }
 
@@ -315,7 +290,7 @@ void WindowTracker::on_mode_change(const framework::FwEvent& event) {
     for (const auto& [id, window] : windows_) {
       if (window.kind == WindowKind::kScreen) to_close.push_back(id);
     }
-    for (std::uint64_t id : to_close) close_window(id, "switched to auto");
+    for (std::uint64_t id : to_close) close_window(id);
     return;
   }
   if (event.by_user || is_system(event.driving)) return;
@@ -329,7 +304,7 @@ void WindowTracker::on_mode_change(const framework::FwEvent& event) {
       });
   if (already) return;
   Window& window = open_window(WindowKind::kScreen, event.driving,
-                               kernelsim::Uid{}, "forced manual mode");
+                               kernelsim::Uid{});
   window.baseline_brightness = server_.screen().brightness();
 }
 
@@ -341,7 +316,7 @@ void WindowTracker::on_wakelock_acquire(const framework::FwEvent& event) {
   // Fig 5e begin: acquiring while not in foreground (e.g. from a service).
   if (foreground() == event.driving) return;
   Window& window = open_window(WindowKind::kWakelock, event.driving,
-                               kernelsim::Uid{}, "acquired in background");
+                               kernelsim::Uid{});
   window.wakelock_handle = event.handle;
 }
 
@@ -354,7 +329,7 @@ void WindowTracker::on_wakelock_release(const framework::FwEvent& event) {
       to_close.push_back(id);
     }
   }
-  for (std::uint64_t id : to_close) close_window(id, "wakelock released");
+  for (std::uint64_t id : to_close) close_window(id);
 }
 
 void WindowTracker::on_push(const framework::FwEvent& event) {
@@ -363,13 +338,10 @@ void WindowTracker::on_push(const framework::FwEvent& event) {
   if (event.by_user) return;
   if (event.driving == event.driven) return;
   if (is_system(event.driving) || is_system(event.driven)) return;
-  Window& window = open_window(WindowKind::kPush, event.driving, event.driven,
-                               "push delivered");
+  Window& window = open_window(WindowKind::kPush, event.driving, event.driven);
   const std::uint64_t id = window.id;
   server_.simulator().schedule(framework::PushService::kHandlingWindow,
-                               [this, id] {
-                                 close_window(id, "push handling done");
-                               });
+                               [this, id] { close_window(id); });
 }
 
 void WindowTracker::on_app_destroyed(const framework::FwEvent& event) {
@@ -387,7 +359,7 @@ void WindowTracker::on_app_destroyed(const framework::FwEvent& event) {
       to_close.push_back(id);
     }
   }
-  for (std::uint64_t id : to_close) close_window(id, "driven app destroyed");
+  for (std::uint64_t id : to_close) close_window(id);
 }
 
 }  // namespace eandroid::core

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "core/window.h"
 #include "framework/events.h"
@@ -26,11 +25,6 @@ class WindowTracker {
 
   /// Feed one event (the bus subscription calls this; tests may too).
   void handle(const framework::FwEvent& event);
-
-  /// Master switch. When disabled the tracker ignores events (the paper's
-  /// "Android" configuration); toggling does not clear existing windows.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
 
   [[nodiscard]] const std::unordered_map<std::uint64_t, Window>&
   open_windows() const {
@@ -53,16 +47,10 @@ class WindowTracker {
   /// the derived structures) deliberately do not bump it.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
-  /// Chronological open/close trace (bounded; oldest entries dropped).
-  [[nodiscard]] const std::vector<WindowTrace>& trace() const {
-    return trace_;
-  }
-  void clear_trace() { trace_.clear(); }
-
  private:
   Window& open_window(WindowKind kind, kernelsim::Uid driver,
-                      kernelsim::Uid driven, const char* reason);
-  void close_window(std::uint64_t id, const char* reason);
+                      kernelsim::Uid driven);
+  void close_window(std::uint64_t id);
 
   [[nodiscard]] bool is_system(kernelsim::Uid uid) const;
   [[nodiscard]] kernelsim::Uid foreground() const;
@@ -80,7 +68,6 @@ class WindowTracker {
   void on_app_destroyed(const framework::FwEvent& event);
 
   framework::SystemServer& server_;
-  bool enabled_ = true;
 
   std::unordered_map<std::uint64_t, Window> windows_;
   /// Wakelocks currently held (handle -> owner), mirrored from events so
@@ -91,7 +78,6 @@ class WindowTracker {
   };
   std::unordered_map<std::uint64_t, HeldLock> held_locks_;
 
-  std::vector<WindowTrace> trace_;
   std::uint64_t next_window_ = 1;
   std::uint64_t opened_total_ = 0;
   std::uint64_t closed_total_ = 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/log.h"
-
 namespace eandroid::framework {
 
 BroadcastManager::BroadcastManager(sim::Simulator& sim,
@@ -72,8 +70,6 @@ int BroadcastManager::send_broadcast(kernelsim::Uid sender,
       // onReceive, no bus event.
       --drop_budget_;
       ++dropped_;
-      EA_LOG(kDebug, sim_.now(), "broadcast")
-          << action << " -> uid " << uid.value << " DROPPED (injected)";
       continue;
     }
     const kernelsim::Pid to = host_.ensure_process(uid);
@@ -106,8 +102,6 @@ int BroadcastManager::send_broadcast(kernelsim::Uid sender,
     ++delivered;
     ++delivered_;
   }
-  EA_LOG(kDebug, sim_.now(), "broadcast")
-      << action << " -> " << delivered << " receivers";
   return delivered;
 }
 

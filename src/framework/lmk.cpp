@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/log.h"
 
 namespace eandroid::framework {
 
@@ -82,9 +81,6 @@ int LowMemoryKiller::maybe_reclaim(kernelsim::Uid exclude) {
       }
     }
     if (!victim.valid()) break;  // nothing killable left
-    EA_LOG(kDebug, sim_.now(), "lmk")
-        << "reclaiming uid " << victim.value << " (adj " << victim_priority
-        << ")";
     // Cold path (memory-pressure reclaim): literal interning is fine.
     EANDROID_TRACE_LIT(sim_.trace(), sim_.now().micros(),
                        obs::TraceCategory::kRecovery, "lmk.kill",

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/log.h"
-
 namespace eandroid::framework {
 
 std::uint64_t NotificationService::post(kernelsim::Uid poster,
@@ -12,8 +10,6 @@ std::uint64_t NotificationService::post(kernelsim::Uid poster,
   const std::uint64_t id = next_id_++;
   notifications_.push_back(
       Notification{id, poster, std::move(title), std::move(activity)});
-  EA_LOG(kTrace, sim_.now(), "notify")
-      << "posted #" << id << " by uid " << poster.value;
   return id;
 }
 

@@ -1,7 +1,5 @@
 #include "framework/push_service.h"
 
-#include "sim/log.h"
-
 namespace eandroid::framework {
 
 PushService::PushService(sim::Simulator& sim, PackageManager& packages,
@@ -61,8 +59,6 @@ bool PushService::send_push(kernelsim::Uid sender,
     code->on_push(host_.context_of(target), bytes);
   }
   ++delivered_;
-  EA_LOG(kTrace, sim_.now(), "push")
-      << sender.value << " -> " << target_package << " (" << bytes << "B)";
   return true;
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/log.h"
-
 namespace eandroid::framework {
 
 SettingsProvider::SettingsProvider(sim::Simulator& sim, hw::Screen& screen,
@@ -34,9 +32,6 @@ void SettingsProvider::apply(kernelsim::Uid driving, bool by_user) {
   event.brightness_before = before;
   event.brightness_after = after;
   events_.publish(event);
-  EA_LOG(kDebug, sim_.now(), "settings")
-      << "brightness " << before << " -> " << after << " by uid "
-      << driving.value << (by_user ? " (user)" : "");
 }
 
 bool SettingsProvider::set_brightness(kernelsim::Uid caller, int value,

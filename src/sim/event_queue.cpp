@@ -33,7 +33,7 @@ void EventQueue::sift_down(std::size_t i) {
   }
 }
 
-void EventQueue::remove_root() {
+void EventQueue::pop_root() {
   if (heap_.size() > 1) {
     heap_.front() = heap_.back();
     heap_.pop_back();
@@ -41,6 +41,11 @@ void EventQueue::remove_root() {
   } else {
     heap_.pop_back();
   }
+}
+
+void EventQueue::remove_root() {
+  pop_root();
+  skip_cancelled();
 }
 
 EventHandle EventQueue::schedule(TimePoint when, Duration period,
@@ -104,10 +109,16 @@ bool EventQueue::cancel(EventHandle h) {
   // A periodic event cancelled from inside its own callback keeps its
   // node at the root; fire_front() removes it once the callback returns.
   if (slot == running_) return true;
+  // Any other cancelled head goes at once: the head is never dead.
+  if (heap_.front().slot == slot) {
+    release(slot);
+    remove_root();
+    return true;
+  }
   // The node cannot be removed from the middle of the heap; it is
-  // discarded lazily when it reaches the head, or eagerly by compact()
-  // once dead nodes outnumber live ones (the 64 floor keeps tiny queues
-  // from compacting on every other cancel).
+  // discarded when it reaches the head, or eagerly by compact() once dead
+  // nodes outnumber live ones (the 64 floor keeps tiny queues from
+  // compacting on every other cancel).
   ++dead_;
   if (dead_ > 64 && dead_ > live_) compact();
   return true;
@@ -134,47 +145,25 @@ void EventQueue::compact() {
 }
 
 void EventQueue::skip_cancelled() {
-  while (!heap_.empty() && heap_.front().slot != running_ &&
-         !slots_[heap_.front().slot].live) {
+  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
     release(heap_.front().slot);
-    remove_root();
+    pop_root();
     --dead_;
   }
-}
-
-TimePoint EventQueue::next_time() const {
-  auto* self = const_cast<EventQueue*>(this);
-  self->skip_cancelled();
-  assert(!self->heap_.empty());
-  return heap_.front().when;
-}
-
-EventQueue::Callback EventQueue::pop() {
-  EANDROID_CHECK(running_ == kNoSlot,
-                 "pop() from inside a periodic event's callback");
-  skip_cancelled();
-  assert(!heap_.empty());
-  const std::uint32_t slot = heap_.front().slot;
-  Callback cb = std::move(slots_[slot].cb);
-  --live_;
-  release(slot);
-  remove_root();
-  return cb;
 }
 
 void EventQueue::fire_front() {
   EANDROID_CHECK(running_ == kNoSlot,
                  "event loop re-entered from inside a periodic event's "
                  "callback");
-  skip_cancelled();
   assert(!heap_.empty());
   const std::uint32_t slot = heap_.front().slot;
   // The callback runs from a local: events it schedules may grow slots_,
   // which must not move a running std::function.
   Callback cb = std::move(slots_[slot].cb);
   if (slots_[slot].period <= Duration(0)) {
-    // One-shot: consume the event before running, exactly like pop(), so
-    // a callback cancelling its own handle stays a no-op.
+    // One-shot: consume the event before running, so a callback
+    // cancelling its own handle stays a no-op.
     --live_;
     release(slot);
     remove_root();
@@ -208,6 +197,7 @@ void EventQueue::fire_front() {
   node.when = node.when + s.period;
   node.seq = next_seq_++;
   sift_down(0);
+  skip_cancelled();
 }
 
 }  // namespace eandroid::sim

@@ -23,14 +23,17 @@
 // schedules sorts after it (same instant, later seq, or later), and
 // compact()'s heapify leaves the minimum at index 0. Scheduling before
 // the running node's instant is therefore a checked error, as is
-// re-entering the run loop (fire_front / pop) from the callback. The
-// 250 ms metering timer is one such event.
+// re-entering the run loop (fire_front) from the callback. The 250 ms
+// metering timer is one such event.
 //
 // Memory stays proportional to the LIVE event count: cancel() marks the
 // slot dead and leaves its node in the heap, and when dead nodes buried
 // in the heap — e.g. cancelled far-future timeouts that would otherwise
 // sit there until their instant arrived — outnumber the live ones, the
 // heap is compacted in place and their slots return to the free list.
+// The head is never dead: a cancelled head is removed at once, and a dead
+// node that surfaces at the head is dropped there and then, so reading
+// the next event is one load and firing it needs no dead-head skip.
 #pragma once
 
 #include <cstdint>
@@ -72,22 +75,15 @@ class EventQueue {
 
   /// Time of the earliest pending event (inside a periodic callback, the
   /// running event's own instant). Precondition: !empty().
-  [[nodiscard]] TimePoint next_time() const;
-
-  /// Removes and returns the earliest pending event's callback. A
-  /// periodic entry popped this way is removed for good (the simulator
-  /// run loop uses fire_front() instead, which reschedules it).
-  /// Precondition: !empty(); a checked error inside a periodic callback.
-  Callback pop();
+  [[nodiscard]] TimePoint next_time() const { return heap_.front().when; }
 
   /// Runs the earliest pending event. One-shot events are consumed
   /// before they run. A periodic event's node stays at the root while
-  /// its callback runs, marked running so that cancel(), compact() and
-  /// the dead-head skip leave it alone; it is then re-keyed in place —
-  /// same callback object, same id, next instant — or released if the
-  /// callback cancelled it. A throwing callback is consumed like a
-  /// one-shot. Precondition: !empty(); a checked error inside a periodic
-  /// callback.
+  /// its callback runs, marked running so that cancel() and compact()
+  /// leave it alone; it is then re-keyed in place — same callback
+  /// object, same id, next instant — or released if the callback
+  /// cancelled it. A throwing callback is consumed like a one-shot.
+  /// Precondition: !empty(); a checked error inside a periodic callback.
   void fire_front();
 
  private:
@@ -121,6 +117,8 @@ class EventQueue {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   /// Removes the root node (heap_[0]) keeping the heap shape.
+  void pop_root();
+  /// Removes the root node, then drops the dead nodes that surface there.
   void remove_root();
 
   EventHandle schedule(TimePoint when, Duration period, Callback cb);
@@ -128,8 +126,8 @@ class EventQueue {
   /// the free list.
   void release(std::uint32_t slot);
 
-  /// Drops dead (cancelled) nodes sitting at the head of the heap; stops
-  /// at the running periodic's node.
+  /// Drops dead (cancelled) nodes sitting at the head of the heap, so the
+  /// head is live again.
   void skip_cancelled();
 
   /// Rebuilds the heap keeping only live nodes and the running one;

@@ -30,8 +30,12 @@ void Simulator::set_observability(obs::TraceRecorder* trace,
 }
 
 void Simulator::run_until(TimePoint until) {
-  while (!queue_.empty() && queue_.next_time() <= until) {
-    now_ = queue_.next_time();
+  // The queue's head is never a cancelled event, so each iteration reads
+  // it once.
+  while (!queue_.empty()) {
+    const TimePoint next = queue_.next_time();
+    if (next > until) break;
+    now_ = next;
     // Trace before firing: the callback may itself record events, and the
     // dispatch marker should precede them in the ring. arg = queue depth
     // at dispatch, a cheap congestion signal.
@@ -43,18 +47,6 @@ void Simulator::run_until(TimePoint until) {
     if (metrics_ != nullptr) metrics_->add(dispatch_metric_);
   }
   if (now_ < until) now_ = until;
-}
-
-void Simulator::run_all() {
-  while (!queue_.empty()) {
-    now_ = queue_.next_time();
-    EANDROID_TRACE(trace_, now_.micros(), obs::TraceCategory::kSim,
-                   dispatch_name_, -1,
-                   static_cast<std::int64_t>(queue_.size()));
-    queue_.fire_front();
-    ++events_dispatched_;
-    if (metrics_ != nullptr) metrics_->add(dispatch_metric_);
-  }
 }
 
 }  // namespace eandroid::sim

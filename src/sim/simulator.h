@@ -65,10 +65,6 @@ class Simulator {
   /// Advances virtual time by `d`, running any events that fall inside.
   void run_for(Duration d) { run_until(now_ + d); }
 
-  /// Runs until the queue is empty (use with care: periodic tasks never
-  /// drain on their own).
-  void run_all();
-
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// True when at least one event is pending.
@@ -95,7 +91,7 @@ class Simulator {
   [[nodiscard]] obs::TraceRecorder* trace() const { return trace_; }
   [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
 
-  /// Events fired by run_until/run_all over the simulator's lifetime.
+  /// Events fired by run_until over the simulator's lifetime.
   [[nodiscard]] std::uint64_t events_dispatched() const {
     return events_dispatched_;
   }

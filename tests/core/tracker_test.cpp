@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "framework/system_server.h"
 #include "sim/simulator.h"
@@ -13,6 +16,7 @@ namespace eandroid::core {
 namespace {
 
 using framework::BrightnessMode;
+using framework::FwEventType;
 using framework::Intent;
 using framework::Manifest;
 using framework::Permission;
@@ -295,21 +299,28 @@ TEST_F(TrackerTest, DeathReleaseClosesWakelockWindow) {
 
 // --- misc ---
 
-TEST_F(TrackerTest, DisabledTrackerIgnoresEvents) {
-  tracker_->set_enabled(false);
-  server_.user_launch("com.a");
-  ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  EXPECT_EQ(tracker_->open_count(), 0u);
-  EXPECT_EQ(tracker_->opened_total(), 0u);
-}
-
 TEST_F(TrackerTest, TraceRecordsOpensAndCloses) {
+  // A listener subscribed after the tracker reads each event's opens and
+  // closes off open_windows(), as fig05_lifecycle_trace does.
+  std::set<std::uint64_t> seen;
+  std::vector<std::pair<bool, FwEventType>> trace;
+  server_.events().subscribe([&](const framework::FwEvent& event) {
+    std::set<std::uint64_t> open;
+    for (const auto& [id, w] : tracker_->open_windows()) open.insert(id);
+    for (std::uint64_t id : seen) {
+      if (!open.contains(id)) trace.emplace_back(false, event.type);
+    }
+    for (std::uint64_t id : open) {
+      if (!seen.contains(id)) trace.emplace_back(true, event.type);
+    }
+    seen = std::move(open);
+  });
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   server_.user_launch("com.b");
-  ASSERT_GE(tracker_->trace().size(), 2u);
-  EXPECT_TRUE(tracker_->trace().front().opened);
-  EXPECT_FALSE(tracker_->trace().back().opened);
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0], std::make_pair(true, FwEventType::kActivityStart));
+  EXPECT_EQ(trace[1], std::make_pair(false, FwEventType::kActivityStart));
   EXPECT_EQ(tracker_->opened_total(), 1u);
   EXPECT_EQ(tracker_->closed_total(), 1u);
 }

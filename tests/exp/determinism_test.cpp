@@ -3,8 +3,7 @@
 // generated scenario programs run once serially and once through the
 // pool; every per-seed observable must be bitwise identical. This test is
 // the one the TSan config (`-DEANDROID_SANITIZE=thread`, or the
-// `check_tsan` target) exercises to prove the logger and pool are
-// race-free.
+// `check_tsan` target) exercises to prove the pool is race-free.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,7 +14,6 @@
 #include "exp/parallel_runner.h"
 #include "fuzz/executor.h"
 #include "fuzz/generator.h"
-#include "sim/log.h"
 
 namespace eandroid::exp {
 namespace {
@@ -95,26 +93,6 @@ TEST(ParallelDeterminismTest, RepeatedParallelRunsAgree) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     expect_bitwise_equal(first[seed - 1], second[seed - 1], seed);
   }
-}
-
-TEST(ParallelDeterminismTest, LoggerIsThreadLocal) {
-  // A job cranking its logger must not leak a level into other workers or
-  // into the main thread (the pre-PR singleton failed exactly this).
-  sim::Logger::instance().set_level(sim::LogLevel::kOff);
-  const auto levels = run_indexed<int>(
-      8,
-      [](std::size_t i) {
-        auto& logger = sim::Logger::instance();
-        if (i % 2 == 0) {
-          logger.set_sink([](sim::LogLevel, sim::TimePoint,
-                             const std::string&, const std::string&) {});
-          logger.set_level(sim::LogLevel::kTrace);
-        }
-        return static_cast<int>(logger.level());
-      },
-      {.threads = 4});
-  EXPECT_EQ(sim::Logger::instance().level(), sim::LogLevel::kOff);
-  EXPECT_EQ(levels.size(), 8u);
 }
 
 }  // namespace

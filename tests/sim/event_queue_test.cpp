@@ -22,7 +22,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   q.push(TimePoint(300), [&] { order.push_back(3); });
   q.push(TimePoint(100), [&] { order.push_back(1); });
   q.push(TimePoint(200), [&] { order.push_back(2); });
-  while (!q.empty()) q.pop()();
+  while (!q.empty()) q.fire_front();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -32,7 +32,7 @@ TEST(EventQueueTest, SameInstantIsFifo) {
   for (int i = 0; i < 5; ++i) {
     q.push(TimePoint(42), [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop()();
+  while (!q.empty()) q.fire_front();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -72,7 +72,7 @@ TEST(EventQueueTest, CancelledHeadIsSkipped) {
   q.push(TimePoint(2), [&] { order.push_back(2); });
   q.cancel(first);
   EXPECT_EQ(q.next_time(), TimePoint(2));
-  while (!q.empty()) q.pop()();
+  while (!q.empty()) q.fire_front();
   EXPECT_EQ(order, (std::vector<int>{2}));
 }
 
@@ -82,11 +82,11 @@ TEST(EventQueueTest, CancelAfterFireIsHarmless) {
   EventQueue q;
   const EventHandle fired = q.push(TimePoint(1), [] {});
   q.push(TimePoint(2), [] {});
-  q.pop()();  // fires `fired`
+  q.fire_front();  // fires `fired`
   EXPECT_FALSE(q.cancel(fired));
   EXPECT_EQ(q.size(), 1u);
   EXPECT_FALSE(q.empty());
-  q.pop()();
+  q.fire_front();
   EXPECT_TRUE(q.empty());
 }
 
@@ -96,7 +96,7 @@ TEST(EventQueueTest, SelfCancelDuringCallbackIsHarmless) {
   bool later_ran = false;
   self = q.push(TimePoint(1), [&] { q.cancel(self); });
   q.push(TimePoint(2), [&] { later_ran = true; });
-  while (!q.empty()) q.pop()();
+  while (!q.empty()) q.fire_front();
   EXPECT_TRUE(later_ran);
 }
 
@@ -107,12 +107,12 @@ TEST(EventQueueTest, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
-  q.pop();
+  q.fire_front();
   EXPECT_EQ(q.size(), 0u);
 }
 
 // Stress: a deterministic pseudo-random interleaving of push / cancel /
-// pop / fire (with in-place periodic reschedule) against a brute-force
+// fire (with in-place periodic reschedule) against a brute-force
 // reference model. Cancels are frequent enough to drive the heap across
 // its compaction boundary many times, so this catches id aliasing,
 // FIFO-at-the-same-instant breaks, and compaction losing or duplicating
@@ -152,7 +152,7 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
     }
     return best;
   };
-  auto consume_front = [&](bool via_pop) {
+  auto consume_front = [&] {
     ASSERT_FALSE(live.empty());
     const std::size_t best = model_earliest();
     const ModelEvent expect = live[best];
@@ -160,15 +160,11 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
     now = expect.when;
     ASSERT_EQ(q.next_time(), expect.when);
     const std::size_t before = fired.size();
-    if (via_pop) {
-      q.pop()();  // removes even a periodic entry for good
-    } else {
-      q.fire_front();
-      if (expect.period > Duration(0) && !expect.cancels_itself) {
-        ModelEvent again = expect;
-        again.when = again.when + again.period;
-        live.push_back(again);
-      }
+    q.fire_front();
+    if (expect.period > Duration(0) && !expect.cancels_itself) {
+      ModelEvent again = expect;
+      again.when = again.when + again.period;
+      live.push_back(again);
     }
     ASSERT_EQ(fired.size(), before + 1);
     EXPECT_EQ(fired.back(), expect.token);
@@ -186,7 +182,7 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
   for (int op = 0; op < 6000; ++op) {
     const std::uint64_t r = next_rand();
     const std::uint64_t arg = r >> 8;
-    switch (r % 9) {
+    switch (r % 8) {
       case 0:
       case 1:
       case 2: {  // one-shot push; small spread forces equal instants
@@ -219,14 +215,10 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
         break;
       }
       case 6: {  // fire the earliest; periodic entries reschedule in place
-        if (!live.empty()) consume_front(/*via_pop=*/false);
+        if (!live.empty()) consume_front();
         break;
       }
-      case 7: {  // pop() consumes the earliest entry outright
-        if (!live.empty()) consume_front(/*via_pop=*/true);
-        break;
-      }
-      case 8: {  // periodic that cancels itself and compacts mid-callback
+      case 7: {  // periodic that cancels itself and compacts mid-callback
         const std::uint64_t token = next_token++;
         const TimePoint when =
             now + Duration(static_cast<std::int64_t>(arg % 40));
@@ -235,7 +227,7 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
         auto self = std::make_shared<EventHandle>();
         *self = q.push_periodic(when, period, [&, token, self] {
           fired.push_back(token);
-          q.cancel(*self);  // false when pop() already consumed it
+          EXPECT_TRUE(q.cancel(*self));
           push_now();
           // More cancelled events than live ones, past the 64 floor: the
           // last cancel compacts the heap while this callback runs.
@@ -265,7 +257,7 @@ TEST(EventQueueTest, StressInterleavedOpsAcrossCompaction) {
       live.erase(live.begin() + i);
     }
   }
-  while (!live.empty()) consume_front(/*via_pop=*/false);
+  while (!live.empty()) consume_front();
   EXPECT_TRUE(q.empty());
 }
 

@@ -101,8 +101,9 @@ TEST(SimulatorTest, RunAllDrainsQueue) {
   int count = 0;
   sim.schedule(seconds(100), [&] { ++count; });
   sim.schedule(seconds(200), [&] { ++count; });
-  sim.run_all();
+  sim.run_until(TimePoint() + seconds(200));
   EXPECT_EQ(count, 2);
+  EXPECT_FALSE(sim.has_pending());
   EXPECT_EQ(sim.now(), TimePoint() + seconds(200));
 }
 
