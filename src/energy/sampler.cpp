@@ -44,7 +44,19 @@ void EnergySampler::start() {
   window_begin_ = server_.simulator().now();
   // Align the CPU scheduler's window with ours.
   server_.cpu().sample_window();
-  stopper_ = server_.simulator().every(period_, [this] { tick(); });
+  stopper_ = server_.simulator().every(period_, [this] { on_timer(); });
+}
+
+void EnergySampler::on_timer() {
+  // While nothing else is due, the following firings run here, in place.
+  // Between two of them no event and no outside code ran, so when the
+  // first kept its slice the second may skip the keep test.
+  sim::Simulator& sim = server_.simulator();
+  bool kept = tick(false);
+  while (sim.refire_in_place()) {
+    ++ticks_in_place_;
+    kept = tick(kept);
+  }
 }
 
 void EnergySampler::stop() {
@@ -53,12 +65,29 @@ void EnergySampler::stop() {
   stopper_ = nullptr;
 }
 
-void EnergySampler::flush() { tick(); }
+void EnergySampler::flush() { tick(false); }
 
-bool EnergySampler::gather(sim::TimePoint now, sim::Duration window) {
+void EnergySampler::keep_slice(sim::TimePoint now) {
+  slice_.begin = window_begin_;
+  slice_.end = now;
+  window_begin_ = now;
+  ++gathers_reused_;
+}
+
+bool EnergySampler::gather(sim::TimePoint now, sim::Duration window,
+                           bool follows_kept) {
   // Close the CPU window first: whether it was reused decides whether the
   // rest can be.
   const kernelsim::CpuWindow& cpu = server_.cpu().sample_window();
+  // An in-place firing after a kept tick: nothing the keep test compares
+  // can have moved since that tick (see the header) but the CPU window
+  // and its length. That tick kept a reused window of the built length,
+  // so a window reused now has that length too.
+  if (follows_kept && server_.cpu().window_reused()) {
+    keep_slice(now);
+    ++keep_tests_skipped_;
+    return true;
+  }
   const bool suspended = server_.cpu().suspended();
 
   // The scalars read every tick. They are compared by value: the forced
@@ -96,10 +125,7 @@ bool EnergySampler::gather(sim::TimePoint now, sim::Duration window) {
       owners_ == slice_.screen_wakelock_owners) {
     // A full pass would rebuild the same cells in the same order: keep
     // the sealed slice and move its window.
-    slice_.begin = window_begin_;
-    slice_.end = now;
-    window_begin_ = now;
-    ++gathers_reused_;
+    keep_slice(now);
     return true;
   }
 
@@ -167,18 +193,18 @@ void EnergySampler::fold(bool kept) {
   for (AccountingSink* sink : sinks_) sink->on_slice(slice_);
 }
 
-void EnergySampler::tick() {
+bool EnergySampler::tick(bool follows_kept) {
   using clock = std::chrono::steady_clock;
   const sim::TimePoint now = server_.simulator().now();
   const sim::Duration window = now - window_begin_;
-  if (window <= sim::Duration(0)) return;
+  if (window <= sim::Duration(0)) return false;
 
   const clock::time_point t0 = stage_timing_ ? clock::now()
                                              : clock::time_point{};
   // A kept slice is still sealed, and its total is the one computed when
   // it was built. total_mj() is a pure fold over the sealed slice —
   // computed once, reused by the battery, trace marker and metrics below.
-  const bool kept = gather(now, window);
+  const bool kept = gather(now, window, follows_kept);
   if (!kept) {
     slice_.seal();
     total_mj_ = slice_.total_mj();
@@ -219,6 +245,7 @@ void EnergySampler::tick() {
     metrics_->add(slices_metric_);
     metrics_->observe(slice_mj_metric_, total_mj);
   }
+  return kept;
 }
 
 }  // namespace eandroid::energy

@@ -30,6 +30,20 @@
 // tick either way, so the tick's outputs are the same bits as a full
 // rebuild.
 //
+// Kept runs: while nothing else is due, the timer's callback runs the
+// following firings in place (Simulator::refire_in_place), each one a
+// whole tick with its dispatch counted and traced as the run loop would.
+// An in-place firing that follows a kept tick skips the keep test: it
+// closes the CPU window and keeps the slice if the scheduler reused it
+// (which also means the window has the built length); otherwise it runs
+// the full test (or the rebuild) on the window it just closed. Nothing else
+// the test compares can have moved: no event and no outside code ran
+// since the kept tick; the user-activity timeout flips the forced flag
+// only at the instant of its pending reevaluate event, and an in-place
+// firing never reaches a pending event's instant; and a component tail
+// running at the build makes the slice unkeepable in the first place.
+// flush() and every firing the run loop dispatches run the full test.
+//
 // The tick is allocation-free in steady state: ONE EnergySlice lives for
 // the whole run and is reset (not reallocated) per rebuilt window,
 // component breakdowns and the wakelock owner list land in reused
@@ -80,6 +94,16 @@ class EnergySampler {
   [[nodiscard]] std::uint64_t gathers_reused() const {
     return gathers_reused_;
   }
+  /// Timer firings the callback ran in place instead of returning to the
+  /// run loop.
+  [[nodiscard]] std::uint64_t ticks_in_place() const {
+    return ticks_in_place_;
+  }
+  /// Kept ticks whose GATHER skipped the keep test (a subset of both
+  /// counts above).
+  [[nodiscard]] std::uint64_t keep_tests_skipped() const {
+    return keep_tests_skipped_;
+  }
 
   // --- Per-stage wall-clock accounting (bench instrumentation) ---------
   // Off by default: the tick takes zero clock reads. The hotpath bench
@@ -96,11 +120,18 @@ class EnergySampler {
   void reset_stage_nanos() { stage_nanos_ = StageNanos{}; }
 
  private:
-  void tick();
+  /// The timer's callback: a tick, then the firings it may run in place.
+  void on_timer();
+  /// One metering tick; returns whether GATHER kept the slice.
+  /// `follows_kept`: an in-place firing right after a kept tick.
+  bool tick(bool follows_kept);
   /// GATHER: integrates CPU, session components, and screen state over
   /// the closed window into the persistent slice. Returns true when it
-  /// kept the previous (sealed) slice instead.
-  bool gather(sim::TimePoint now, sim::Duration window);
+  /// kept the previous (sealed) slice instead; with `follows_kept` the
+  /// keep needs only a reused CPU window.
+  bool gather(sim::TimePoint now, sim::Duration window, bool follows_kept);
+  /// Keeps the sealed slice and moves its window to end at `now`.
+  void keep_slice(sim::TimePoint now);
   /// FOLD: fused pipeline first (when attached; told whether GATHER kept
   /// the slice), then the sinks.
   void fold(bool kept);
@@ -139,6 +170,8 @@ class EnergySampler {
   /// The sealed slice's total_mj(), reused while the slice is kept.
   double total_mj_ = 0.0;
   std::uint64_t gathers_reused_ = 0;
+  std::uint64_t ticks_in_place_ = 0;
+  std::uint64_t keep_tests_skipped_ = 0;
 
   /// Cached observability sinks (attached before construction, constant
   /// for the device's life) plus pre-interned/registered ids — the tick's

@@ -152,6 +152,28 @@ void EventQueue::skip_cancelled() {
   }
 }
 
+bool EventQueue::refire_running(TimePoint bound) {
+  if (running_ == kNoSlot) return false;
+  const Slot& s = slots_[running_];
+  if (!s.live) return false;  // the callback cancelled its own timer
+  Node& root = heap_.front();
+  const TimePoint next = root.when + s.period;
+  if (next > bound) return false;
+  // The runner-up is one of the root's children. An event already
+  // pending at `next` would fire first (the return's re-key takes a later
+  // sequence number), so only a strictly earlier firing may run in place.
+  // A cancelled child blocks it too, which errs on the safe side.
+  const std::size_t last_child = std::min<std::size_t>(heap_.size(), 5);
+  for (std::size_t c = 1; c < last_child; ++c) {
+    if (!(next < heap_[c].when)) return false;
+  }
+  // The node keeps its sequence number: it stays below every event
+  // scheduled from here on, so the node is still the minimum and the
+  // root, and the return re-keys it as usual.
+  root.when = next;
+  return true;
+}
+
 void EventQueue::fire_front() {
   EANDROID_CHECK(running_ == kNoSlot,
                  "event loop re-entered from inside a periodic event's "

@@ -26,6 +26,16 @@
 // re-entering the run loop (fire_front) from the callback. The 250 ms
 // metering timer is one such event.
 //
+// A running periodic may also take its next firing without returning
+// (refire_running): the root node's instant moves to `when + period` and
+// the callback runs that firing in place. The queue allows it only while
+// the next firing is strictly earlier than every other pending event, so
+// the node stays the root without a sift, and no event already pending
+// at that instant — which the return's re-key would have let fire first
+// — is overtaken. The root's (at most four) children hold the runner-up,
+// so the test is four compares. The caller bounds the firing too:
+// Simulator::refire_in_place passes run_until's bound.
+//
 // Memory stays proportional to the LIVE event count: cancel() marks the
 // slot dead and leaves its node in the heap, and when dead nodes buried
 // in the heap — e.g. cancelled far-future timeouts that would otherwise
@@ -76,6 +86,14 @@ class EventQueue {
   /// Time of the earliest pending event (inside a periodic callback, the
   /// running event's own instant). Precondition: !empty().
   [[nodiscard]] TimePoint next_time() const { return heap_.front().when; }
+
+  /// Inside a periodic callback: moves the running node to its next
+  /// firing, `when + period`, and returns true, so the callback can run
+  /// that firing in place. Refuses (returns false, changes nothing)
+  /// unless a periodic is running and still live, its next firing is at
+  /// or before `bound`, and that firing is strictly earlier than every
+  /// other pending event.
+  bool refire_running(TimePoint bound);
 
   /// Runs the earliest pending event. One-shot events are consumed
   /// before they run. A periodic event's node stays at the root while

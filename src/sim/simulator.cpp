@@ -30,6 +30,14 @@ void Simulator::set_observability(obs::TraceRecorder* trace,
 }
 
 void Simulator::run_until(TimePoint until) {
+  // refire_in_place reads the innermost run's bound; the enclosing run's
+  // (or none) comes back on the way out, exceptions included.
+  struct RestoreBound {
+    TimePoint& bound;
+    TimePoint saved;
+    ~RestoreBound() { bound = saved; }
+  } restore{bound_, bound_};
+  bound_ = until;
   // The queue's head is never a cancelled event, so each iteration reads
   // it once.
   while (!queue_.empty()) {
@@ -47,6 +55,19 @@ void Simulator::run_until(TimePoint until) {
     if (metrics_ != nullptr) metrics_->add(dispatch_metric_);
   }
   if (now_ < until) now_ = until;
+}
+
+bool Simulator::refire_in_place() {
+  if (!queue_.refire_running(bound_)) return false;
+  // The firing that just finished is counted where run_until counts it,
+  // after it ends; the next one is traced where run_until would trace it.
+  ++events_dispatched_;
+  if (metrics_ != nullptr) metrics_->add(dispatch_metric_);
+  now_ = queue_.next_time();
+  EANDROID_TRACE(trace_, now_.micros(), obs::TraceCategory::kSim,
+                 dispatch_name_, -1,
+                 static_cast<std::int64_t>(queue_.size()));
+  return true;
 }
 
 }  // namespace eandroid::sim

@@ -5,10 +5,19 @@
 // periodic tasks (e.g. the energy sampler). The loop is single-threaded and
 // deterministic: given the same seed and the same schedule of user actions,
 // two runs produce identical traces.
+//
+// A periodic callback may run its following firings in place
+// (refire_in_place) while nothing else is due before them and they lie
+// within the current run_until: each one moves the clock and is counted
+// and traced as a dispatch exactly as the run loop would, so the event
+// stream, the counters and the trace bytes are the same as when every
+// firing returns to the loop. The metering timer (energy/sampler.h) runs
+// its quiet stretches this way.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 
 #include "sim/check.h"
 #include "sim/event_queue.h"
@@ -62,6 +71,16 @@ class Simulator {
   /// Events scheduled exactly at `until` still run.
   void run_until(TimePoint until);
 
+  /// For a periodic callback: moves the clock to the callback's next
+  /// firing and returns true, so the callback runs that firing in place
+  /// of returning to the loop. The finished firing is counted and the
+  /// new one traced (`sim.dispatch` with the queue depth) exactly as
+  /// run_until would. Returns false and changes nothing unless the next
+  /// firing is at or before run_until's bound and strictly earlier than
+  /// every other pending event — and so outside a periodic callback,
+  /// outside run_until, and once the callback has cancelled its timer.
+  bool refire_in_place();
+
   /// Advances virtual time by `d`, running any events that fall inside.
   void run_for(Duration d) { run_until(now_ + d); }
 
@@ -69,16 +88,6 @@ class Simulator {
 
   /// True when at least one event is pending.
   [[nodiscard]] bool has_pending() const { return !queue_.empty(); }
-
-  /// Instant of the earliest pending event. Precondition: has_pending().
-  /// Schedulers peek this to park a quiescent device: a device whose next
-  /// event lies beyond a causal window can skip the window in one
-  /// run_until without dispatching anything.
-  [[nodiscard]] TimePoint next_event_time() const {
-    EANDROID_CHECK(!queue_.empty(),
-                   "next_event_time on an empty event queue");
-    return queue_.next_time();
-  }
 
   /// Attaches (or detaches, with nulls) the device's observability sinks.
   /// Subsystems that hold a Simulator& reach tracing through trace() /
@@ -97,7 +106,13 @@ class Simulator {
   }
 
  private:
+  /// Before every instant: the bound outside run_until.
+  static constexpr TimePoint kNoBound{
+      std::numeric_limits<std::int64_t>::min()};
+
   TimePoint now_;
+  /// The innermost run_until's bound; kNoBound outside run_until.
+  TimePoint bound_ = kNoBound;
   EventQueue queue_;
   Rng rng_;
   obs::TraceRecorder* trace_ = nullptr;

@@ -3,7 +3,11 @@
 // drives one input that changes without a call the scheduler or the
 // session components count — a tail running out, a process spawning
 // under a registered load, the user-activity timeout, screen settings —
-// and checks that no tick hands the fold a stale slice.
+// and checks that no tick hands the fold a stale slice. The InOneRun
+// tests make each change inside a single run_until, where the metering
+// timer runs its firings in place and an in-place firing after a kept
+// tick skips the keep test; they check that such keeps happened around
+// the change and that none of them kept a stale slice.
 
 #include <gtest/gtest.h>
 
@@ -103,6 +107,13 @@ class KeptSliceTest : public ::testing::Test {
     server_.ensure_process(uid());
     return server_.context_of(uid());
   }
+  /// Kept ticks whose keep test was skipped since the last call.
+  std::uint64_t skipped_since_last() {
+    const std::uint64_t now = sampler_.keep_tests_skipped();
+    const std::uint64_t since = now - skipped_seen_;
+    skipped_seen_ = now;
+    return since;
+  }
   /// Runs one tick and reports whether its GATHER kept the slice.
   bool tick_kept() {
     const std::uint64_t before = sampler_.gathers_reused();
@@ -114,6 +125,7 @@ class KeptSliceTest : public ::testing::Test {
   framework::SystemServer server_;
   EnergySampler sampler_;
   FreshnessSink sink_;
+  std::uint64_t skipped_seen_ = 0;
 };
 
 TEST_F(KeptSliceTest, QuietDeviceKeepsItsSliceAfterTheFirstTick) {
@@ -238,6 +250,157 @@ TEST_F(KeptSliceTest, BrightnessAndForegroundChangesRebuild) {
   sim_.run_for(sim::seconds(2));
   EXPECT_EQ(sink_.slices.back().foreground, uid());
   EXPECT_TRUE(tick_kept());
+}
+
+TEST_F(KeptSliceTest, QuietRunKeepsInPlaceWithoutTheKeepTest) {
+  // One run: the first firing is the loop's, the other 39 run in place;
+  // from the third on, each follows a kept tick.
+  sim_.run_for(sim::seconds(10));
+  EXPECT_EQ(sampler_.slices_emitted(), 40u);
+  EXPECT_EQ(sampler_.ticks_in_place(), 39u);
+  EXPECT_EQ(sampler_.gathers_reused(), 39u);
+  EXPECT_EQ(sampler_.keep_tests_skipped(), 38u);
+  // A run per tick: no firing runs in place, so every keep is tested.
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(tick_kept());
+  EXPECT_EQ(sampler_.ticks_in_place(), 39u);
+  EXPECT_EQ(sampler_.keep_tests_skipped(), 38u);
+}
+
+TEST_F(KeptSliceTest, UserTimeoutInOneRunForcesTheScreen) {
+  ctx().acquire_wakelock(framework::WakelockType::kScreenBright, "t");
+  sim_.run_for(sim::seconds(1));
+  static_cast<void>(skipped_since_last());
+  sink_.slices.clear();
+  // The 30 s user-activity timeout passes inside this run. Its pending
+  // reevaluate event ends the in-place stretch before it; the flag is
+  // then read afresh (the sink checks every slice).
+  sim_.run_for(sim::seconds(59));
+  std::size_t flips = 0;
+  for (std::size_t i = 1; i < sink_.slices.size(); ++i) {
+    if (sink_.slices[i].screen_forced_by_wakelock !=
+        sink_.slices[i - 1].screen_forced_by_wakelock) {
+      ++flips;
+      EXPECT_TRUE(sink_.slices[i].screen_forced_by_wakelock);
+    }
+  }
+  EXPECT_EQ(flips, 1u);
+  EXPECT_TRUE(sink_.slices.back().screen_forced_by_wakelock);
+  EXPECT_GT(skipped_since_last(), 200u);
+}
+
+TEST_F(KeptSliceTest, WifiTailRunsDownInOneRun) {
+  const hw::SessionId session = ctx().wifi_begin();
+  sim_.run_for(sim::seconds(2));
+  // Ending the session 100 ms into a window starts an 800 ms tail that
+  // runs out mid-window with no call; the same run goes on past it.
+  sim_.schedule(sim::millis(100), [this, session] { ctx().wifi_end(session); });
+  static_cast<void>(skipped_since_last());
+  sink_.slices.clear();
+  sim_.run_for(sim::seconds(5));
+  EXPECT_FALSE(server_.wifi().active());
+  EXPECT_TRUE(server_.wifi().time_stable());
+  const kernelsim::AppIdx idx = server_.ids().app_of(uid());
+  // The tail draws at the ticks at 2.25, 2.5 and 2.75 s, and is gone by
+  // the one at 3 s.
+  ASSERT_EQ(sink_.slices.size(), 20u);
+  for (std::size_t i = 0; i < sink_.slices.size(); ++i) {
+    EXPECT_EQ(sink_.slices[i].wifi_mj(idx) > 0.0, i < 3) << "slice " << i;
+  }
+  EXPECT_FALSE(sink_.slices.back().active_at(idx));
+  EXPECT_GT(skipped_since_last(), 10u);
+}
+
+TEST_F(KeptSliceTest, LateSpawnInOneRunIsCharged) {
+  kernelsim::ProcessTable& processes = server_.processes();
+  const kernelsim::Pid probe = processes.spawn(uid(), "com.app:probe");
+  processes.kill(probe);
+  const kernelsim::Pid future{probe.value + 1};
+  server_.cpu().add_load(future, 0.5);
+  sim_.run_for(sim::seconds(1));
+  const kernelsim::AppIdx idx = server_.ids().app_of(uid());
+  // The spawn, no scheduler call, lands as an event inside the run.
+  kernelsim::Pid spawned;
+  sim_.schedule(sim::millis(1100), [&] {
+    spawned = processes.spawn(uid(), "com.app");
+  });
+  static_cast<void>(skipped_since_last());
+  sink_.slices.clear();
+  sim_.run_for(sim::seconds(4));
+  ASSERT_EQ(spawned, future);
+  ASSERT_EQ(sink_.slices.size(), 16u);
+  for (std::size_t i = 0; i < sink_.slices.size(); ++i) {
+    // Slices 0-3 end before the spawn; slice 4 holds it.
+    EXPECT_EQ(sink_.slices[i].active_at(idx), i >= 4) << "slice " << i;
+  }
+  EXPECT_EQ(sink_.slices[6].cpu_mj(idx), sink_.slices.back().cpu_mj(idx));
+  EXPECT_GT(sink_.slices.back().cpu_mj(idx), 0.0);
+  EXPECT_GT(skipped_since_last(), 5u);
+}
+
+TEST_F(KeptSliceTest, BrightnessEventInOneRunRebuilds) {
+  server_.user_set_screen_mode(framework::BrightnessMode::kManual);
+  sim_.run_for(sim::seconds(1));
+  sim_.schedule(sim::seconds(2) + sim::millis(60),
+                [this] { server_.user_set_brightness(220); });
+  static_cast<void>(skipped_since_last());
+  sink_.slices.clear();
+  sim_.run_for(sim::seconds(5));
+  ASSERT_EQ(sink_.slices.size(), 20u);
+  for (std::size_t i = 0; i < sink_.slices.size(); ++i) {
+    // Slice 8 ends at 3.25 s, the first tick after the event.
+    EXPECT_EQ(sink_.slices[i].brightness == 220, i >= 8) << "slice " << i;
+  }
+  EXPECT_GT(skipped_since_last(), 10u);
+}
+
+TEST_F(KeptSliceTest, KeptShortWindowIsNotCarriedIntoTheInPlaceFirings) {
+  sim_.run_for(sim::seconds(1));
+  // A flush 125 ms into a window builds a 125 ms slice; the loop's
+  // firing at 1.25 s keeps it (same length, nothing changed). The
+  // in-place firings after it close 250 ms windows and must rebuild.
+  sim_.run_for(sim::millis(125));
+  sampler_.flush();
+  ASSERT_EQ(sink_.slices.back().length(), sim::millis(125));
+  const std::size_t flushed = sink_.slices.size() - 1;
+  static_cast<void>(skipped_since_last());
+  sim_.run_for(sim::seconds(2));
+  ASSERT_EQ(sink_.slices.size(), flushed + 9);
+  EXPECT_EQ(sink_.slices[flushed + 1].length(), sim::millis(125));
+  EXPECT_EQ(sink_.slices[flushed + 1].total_mj(),
+            sink_.slices[flushed].total_mj());
+  for (std::size_t i = flushed + 2; i < sink_.slices.size(); ++i) {
+    EXPECT_EQ(sink_.slices[i].length(), sim::millis(250));
+    EXPECT_EQ(sink_.slices[i].total_mj(), 2 * sink_.slices[flushed].total_mj())
+        << "slice " << i;
+  }
+  EXPECT_GT(skipped_since_last(), 0u);
+}
+
+TEST_F(KeptSliceTest, DirectChangeBetweenRunsIsSeenByTheNextRunAndFlush) {
+  // A change made outside any event, between two runs, where the last
+  // ticks of the first run were in-place keeps that skipped the test.
+  sim_.run_for(sim::seconds(3));
+  ASSERT_GT(skipped_since_last(), 0u);
+  server_.screen().set_brightness(17);
+  EXPECT_FALSE(tick_kept());
+  EXPECT_EQ(sink_.slices.back().brightness, 17);
+  sim_.run_for(sim::seconds(2));
+  ASSERT_GT(skipped_since_last(), 0u);
+
+  // The same for flush(): two 50 ms flushes build and keep a slice, and
+  // a third of the same length, after a direct change, must see it.
+  sim_.run_for(sim::millis(50));
+  sampler_.flush();
+  sim_.run_for(sim::millis(50));
+  const std::uint64_t reused = sampler_.gathers_reused();
+  sampler_.flush();
+  ASSERT_EQ(sampler_.gathers_reused(), reused + 1);
+  sim_.run_for(sim::millis(50));
+  server_.screen().set_brightness(201);
+  sampler_.flush();
+  EXPECT_EQ(sampler_.gathers_reused(), reused + 1);
+  EXPECT_EQ(sink_.slices.back().brightness, 201);
+  EXPECT_EQ(sink_.slices.back().length(), sim::millis(50));
 }
 
 }  // namespace
