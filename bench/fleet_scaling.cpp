@@ -1,5 +1,5 @@
 // Fleet scaling profile: simulation throughput vs fleet size, plus the
-// two memory stories — shared immutable config and device hibernation.
+// shared-immutable-config memory story.
 //
 // Sections, written to BENCH_fleet.json:
 //
@@ -20,12 +20,6 @@
 //     per device-epoch, measured over the second half of the run (the
 //     first half is warmup: retained buffers grow to their working-set
 //     sizes there). The 1024-device row is the number CI gates against.
-//
-//   * hibernation — a 64-device resident cap, at 128 and 8192 devices:
-//     live heap bytes per PARKED device after finish() (the snapshot
-//     working set) and peak RSS per device. Sublinear growth is the
-//     contract: bytes/device at 8192 must be well under half of
-//     bytes/device at 128.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -40,7 +34,6 @@
 #include <vector>
 
 #include "apps/demo_app.h"
-#include "fleet/aggregate.h"
 #include "fleet/fleet.h"
 
 // --- Counting allocator: tracks allocation count AND live bytes. ---
@@ -276,57 +269,6 @@ ScaleResult best_of(int devices, int threads) {
   return best;
 }
 
-// --- Hibernation leg -------------------------------------------------------
-
-struct HibernationResult {
-  int devices = 0;
-  int resident_cap = 0;
-  double wall_s = 0.0;
-  double device_sim_s_per_wall_s = 0.0;
-  /// Live heap growth per device once the population is parked — the
-  /// cost of a DeviceSnapshot plus the amortized working set.
-  std::int64_t bytes_per_parked_device = 0;
-  std::int64_t peak_rss_kb_per_device = 0;
-  std::uint64_t evictions = 0;
-};
-
-HibernationResult run_hibernating(int devices, int cap) {
-  const std::int64_t kSimSeconds = sim_seconds_for(devices);
-  reset_peak_rss();
-  const std::int64_t heap_before = live_bytes();
-  fleet::FleetOptions options;
-  options.device_count = devices;
-  options.workers = 4;
-  options.max_resident_devices = cap;
-  options.epoch = sim::seconds(5);
-  options.install_plan =
-      std::make_shared<const fleet::InstallPlan>(make_plan());
-  fleet::Fleet fleet(options);
-  fleet.broker().add_campaign(make_campaign(kSimSeconds));
-  fleet.start();
-
-  const auto start = Clock::now();
-  fleet.run_for(sim::seconds(kSimSeconds));
-  fleet.finish();
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  HibernationResult result;
-  result.devices = devices;
-  result.resident_cap = cap;
-  result.wall_s = wall;
-  result.device_sim_s_per_wall_s =
-      static_cast<double>(devices) * static_cast<double>(kSimSeconds) / wall;
-  // The fleet is parked now: snapshots plus <= cap live devices.
-  result.bytes_per_parked_device = (live_bytes() - heap_before) / devices;
-  result.peak_rss_kb_per_device = peak_rss_kb() / devices;
-  const obs::MetricsSnapshot metrics = fleet.scheduler_metrics();
-  if (const obs::MetricRow* row = metrics.find("fleet.hib.evictions")) {
-    result.evictions = row->count;
-  }
-  return result;
-}
-
 }  // namespace
 
 int main() {
@@ -364,22 +306,6 @@ int main() {
   }
   const double gate_throughput = results.back().device_sim_s_per_wall_s;
 
-  std::printf("\nhibernation (resident cap 64):\n");
-  std::printf("%8s %6s %9s %20s %16s %13s %10s\n", "devices", "cap",
-              "wall (s)", "dev-sim-s / wall-s", "bytes/parked-dev",
-              "peak RSS/dev", "evictions");
-  std::vector<HibernationResult> hib;
-  for (const int n : {128, 8192}) {
-    const HibernationResult r = run_hibernating(n, /*cap=*/64);
-    std::printf("%8d %6d %9.3f %20.0f %16lld %10lld kB %10llu\n", r.devices,
-                r.resident_cap, r.wall_s, r.device_sim_s_per_wall_s,
-                static_cast<long long>(r.bytes_per_parked_device),
-                static_cast<long long>(r.peak_rss_kb_per_device),
-                static_cast<unsigned long long>(r.evictions));
-    hib.push_back(r);
-  }
-  const std::int64_t hib_gate_bytes = hib.back().bytes_per_parked_device;
-
   std::FILE* json = std::fopen("BENCH_fleet.json", "w");
   if (json != nullptr) {
     std::fprintf(json,
@@ -409,29 +335,11 @@ int main() {
                    static_cast<unsigned long long>(r.pushes_delivered),
                    i + 1 < results.size() ? "," : "");
     }
-    std::fprintf(json, "  ],\n  \"hibernation\": [\n");
-    for (std::size_t i = 0; i < hib.size(); ++i) {
-      const HibernationResult& r = hib[i];
-      std::fprintf(json,
-                   "    {\"devices\": %d, \"resident_cap\": %d, "
-                   "\"wall_s\": %.4f, "
-                   "\"device_sim_s_per_wall_s\": %.1f, "
-                   "\"bytes_per_parked_device\": %lld, "
-                   "\"peak_rss_kb_per_device\": %lld, "
-                   "\"evictions\": %llu}%s\n",
-                   r.devices, r.resident_cap, r.wall_s,
-                   r.device_sim_s_per_wall_s,
-                   static_cast<long long>(r.bytes_per_parked_device),
-                   static_cast<long long>(r.peak_rss_kb_per_device),
-                   static_cast<unsigned long long>(r.evictions),
-                   i + 1 < hib.size() ? "," : "");
-    }
     std::fprintf(json,
                  "  ],\n"
-                 "  \"throughput_device_sim_s_per_wall_s\": %.1f,\n"
-                 "  \"hibernation_bytes_per_parked_device\": %lld\n"
+                 "  \"throughput_device_sim_s_per_wall_s\": %.1f\n"
                  "}\n",
-                 gate_throughput, static_cast<long long>(hib_gate_bytes));
+                 gate_throughput);
     std::fclose(json);
     std::printf("\nwrote BENCH_fleet.json\n");
   }
@@ -441,19 +349,6 @@ int main() {
   if (shared_bpd > copied_bpd) {
     std::printf("FAIL: shared-config devices are larger than copied-config "
                 "devices\n");
-    return 1;
-  }
-  // The hibernation contract: bytes per parked device must grow
-  // sublinearly — the 8192-device fleet must be under half the 128-device
-  // figure per device, or parking is not actually bounding the RSS.
-  if (hib.size() == 2 && hib[0].bytes_per_parked_device > 0 &&
-      hib[1].bytes_per_parked_device * 2 >= hib[0].bytes_per_parked_device) {
-    std::printf("FAIL: hibernation bytes/device are not sublinear (%lld at "
-                "%d devices vs %lld at %d)\n",
-                static_cast<long long>(hib[1].bytes_per_parked_device),
-                hib[1].devices,
-                static_cast<long long>(hib[0].bytes_per_parked_device),
-                hib[0].devices);
     return 1;
   }
   return 0;

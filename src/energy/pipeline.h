@@ -141,9 +141,6 @@ class MeteringPipeline {
   static void set_test_skip_part(int part) {
     test_skip_part_.store(part, std::memory_order_relaxed);
   }
-  [[nodiscard]] static int test_skip_part() {
-    return test_skip_part_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// `unchanged_folds_` at which a run records the tape, and from which

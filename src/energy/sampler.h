@@ -117,7 +117,6 @@ class EnergySampler {
     std::uint64_t ticks = 0;      ///< ticks measured while timing was on
   };
   [[nodiscard]] StageNanos stage_nanos() const { return stage_nanos_; }
-  void reset_stage_nanos() { stage_nanos_ = StageNanos{}; }
 
  private:
   /// The timer's callback: a tick, then the firings it may run in place.

@@ -54,8 +54,8 @@ struct FleetReport {
   [[nodiscard]] std::string render() const;
 };
 
-/// Captures and merges every device's report. Requires with_eandroid
-/// fleets (checked error otherwise). Driver thread, after finish().
+/// Captures and merges every device's report. Driver thread, after
+/// finish().
 [[nodiscard]] FleetReport aggregate_fleet(
     Fleet& fleet, const core::DetectorConfig& detector_config = {});
 

@@ -9,20 +9,16 @@
 namespace eandroid::fleet {
 
 namespace {
+/// Causal windows a device task advances before requeueing itself: the
+/// fairness/steal granularity.
+constexpr std::size_t kAdvanceGrainWindows = 8;
+
 FleetOptions normalized(FleetOptions options) {
   EANDROID_CHECK(options.device_count >= 1,
                  "Fleet needs at least one device, got "
                      << options.device_count);
   EANDROID_CHECK(options.epoch > sim::Duration(0),
                  "Fleet epoch must be positive");
-  EANDROID_CHECK(options.max_resident_devices >= 0,
-                 "max_resident_devices must be >= 0");
-  EANDROID_CHECK(options.advance_grain_windows >= 1,
-                 "advance_grain_windows must be >= 1");
-  if (options.params == nullptr) options.params = hw::shared_nexus4_params();
-  if (options.engine_config == nullptr) {
-    options.engine_config = shared_default_engine_config();
-  }
   return options;
 }
 
@@ -55,12 +51,7 @@ DeviceSpec device_spec(const FleetOptions& options, int index) {
   spec.seed = options.base_seed +
               static_cast<std::uint64_t>(index) * options.seed_stride;
   spec.device_index = index;
-  spec.with_eandroid = options.with_eandroid;
-  spec.eandroid_mode = options.eandroid_mode;
-  spec.sample_period = options.sample_period;
   spec.obs = options.obs;
-  spec.params = options.params;
-  spec.engine_config = options.engine_config;
   spec.install_plan = options.install_plan;
   return spec;
 }
@@ -80,14 +71,9 @@ Fleet::Fleet(FleetOptions options)
     : options_(normalized(std::move(options))),
       slots_(static_cast<std::size_t>(options_.device_count)),
       exec_(options_.workers) {
-  if (!hibernating()) {
-    // Eager population: every device exists for the fleet's lifetime.
-    // Hibernating fleets build devices lazily — finish() materializes
-    // each exactly once.
-    for (int i = 0; i < options_.device_count; ++i) {
-      slots_[static_cast<std::size_t>(i)].ctx =
-          std::make_unique<DeviceContext>(device_spec(options_, i));
-    }
+  for (int i = 0; i < options_.device_count; ++i) {
+    slots_[static_cast<std::size_t>(i)].ctx =
+        std::make_unique<DeviceContext>(device_spec(options_, i));
   }
 }
 
@@ -110,28 +96,19 @@ void Fleet::start() {
   started_ = true;
   // Workers read the campaign list concurrently from here on.
   broker_.freeze();
-  if (hibernating()) {
-    // Lazy population: nothing to boot yet, except devices a caller
-    // already materialized (and thereby pinned) before start.
-    for (DeviceSlot& slot : slots_) {
-      if (slot.ctx != nullptr && !slot.booted) {
-        slot.ctx->start();
-        slot.booted = true;
-      }
-    }
-    return;
-  }
-  for_each_slot([this](std::size_t i) {
-    slots_[i].ctx->start();
-    slots_[i].booted = true;
-  });
+  for_each_slot([this](std::size_t i) { slots_[i].ctx->start(); });
 }
 
-void Fleet::advance_windows(DeviceContext& device, int index,
-                            std::size_t w_begin, std::size_t w_end) {
-  if (w_begin >= w_end) return;
+void Fleet::advance_windows(std::size_t i, std::size_t w_end) {
+  DeviceSlot& slot = slots_[i];
+  DeviceContext& device = *slot.ctx;
+  const int index = static_cast<int>(i);
   obs::TraceRecorder* tr = device.obs().trace();
-  std::size_t w = w_begin;
+  // Counted in locals and stored once per grain: the slot is this task's
+  // alone, so the counts cost no shared cache line.
+  std::uint64_t advanced = 0;
+  std::uint64_t consolidated = 0;
+  std::size_t w = slot.next_window;
   while (w < w_end) {
     const sim::TimePoint begin = window_begin(w);
     const sim::TimePoint end = windows_[w];
@@ -149,27 +126,26 @@ void Fleet::advance_windows(DeviceContext& device, int index,
       }
       if (run > w) {
         device.advance_to(windows_[run - 1]);
-        windows_advanced_.fetch_add(run - w, std::memory_order_relaxed);
-        windows_consolidated_.fetch_add(run - w - 1,
-                                        std::memory_order_relaxed);
+        advanced += run - w;
+        consolidated += run - w - 1;
         w = run;
         continue;
       }
     }
     inject_device(device, index, broker_, begin, end);
     device.advance_to(end);
-    windows_advanced_.fetch_add(1, std::memory_order_relaxed);
+    ++advanced;
     ++w;
   }
+  slot.next_window = w;
+  slot.windows_advanced += advanced;
+  slot.windows_consolidated += consolidated;
 }
 
 void Fleet::advance_task(std::size_t i, std::size_t target) {
-  DeviceSlot& slot = slots_[i];
   const std::size_t stop =
-      std::min(target, slot.next_window + static_cast<std::size_t>(
-                                              options_.advance_grain_windows));
-  advance_windows(*slot.ctx, static_cast<int>(i), slot.next_window, stop);
-  slot.next_window = stop;
+      std::min(target, slots_[i].next_window + kAdvanceGrainWindows);
+  advance_windows(i, stop);
   if (stop < target) {
     // Requeue on the worker's own deque (LIFO, stealable): the device
     // keeps running ahead unless a thief rebalances it away.
@@ -186,16 +162,6 @@ void Fleet::run_for(sim::Duration total) {
     windows_.push_back(window_end);
     clock_ = window_end;
   }
-  if (hibernating()) {
-    // Lazy: windows recorded, devices untouched — except pinned ones,
-    // which a caller may inspect between runs and so must track the
-    // fleet clock the way every live device does.
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      DeviceSlot& slot = slots_[i];
-      if (slot.ctx != nullptr && slot.pinned) materialize(slot, i);
-    }
-    return;
-  }
   // One task per device walks it through the new windows in grains,
   // requeueing until caught up. No per-window barrier — the wait inside
   // is the aggregation cut.
@@ -203,147 +169,35 @@ void Fleet::run_for(sim::Duration total) {
   for_each_slot([this, target](std::size_t i) { advance_task(i, target); });
 }
 
-void Fleet::materialize(DeviceSlot& slot, std::size_t i) {
-  if (slot.ctx == nullptr) {
-    if (slot.has_snap) restores_.fetch_add(1, std::memory_order_relaxed);
-    slot.ctx = std::make_unique<DeviceContext>(
-        device_spec(options_, static_cast<int>(i)));
-    slot.next_window = 0;
-    slot.booted = false;
-    slot.flushed = false;
-  }
-  if (started_ && !slot.booted) {
-    slot.ctx->start();
-    slot.booted = true;
-  }
-  advance_windows(*slot.ctx, static_cast<int>(i), slot.next_window,
-                  windows_.size());
-  slot.next_window = windows_.size();
-}
-
-void Fleet::take_snapshot(DeviceSlot& slot) {
-  DeviceSnapshot snap;
-  snap.energy_digest = slot.ctx->energy_digest();
-  snap.pushes_delivered = slot.ctx->server().push().pushes_delivered();
-  snap.sim_end_us = slot.ctx->sim().now().micros();
-  snap.windows_done = slot.next_window;
-  snapshot_bytes_.fetch_add(snap.energy_digest.size() + sizeof(DeviceSnapshot),
-                            std::memory_order_relaxed);
-  snapshots_.fetch_add(1, std::memory_order_relaxed);
-  slot.snap = std::move(snap);
-  slot.has_snap = true;
-}
-
-void Fleet::evict(DeviceSlot& slot) {
-  slot.ctx.reset();
-  slot.next_window = 0;
-  slot.booted = false;
-  slot.flushed = false;
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Fleet::hibernate_task(std::size_t i) {
-  DeviceSlot& slot = slots_[i];
-  materialize(slot, i);
-  if (!slot.flushed) {
-    slot.ctx->finish();
-    slot.flushed = true;
-  }
-  take_snapshot(slot);
-  std::lock_guard<std::mutex> lock(hib_mu_);
-  if (slot.pinned) return;
-  lru_.push_back(i);
-  const auto cap = static_cast<std::size_t>(options_.max_resident_devices);
-  while (lru_.size() > cap) {
-    const std::size_t victim = lru_.front();
-    lru_.pop_front();
-    evict(slots_[victim]);
-  }
-}
-
 void Fleet::finish() {
-  if (hibernating()) {
-    EANDROID_CHECK(!finished_, "Fleet::finish called twice");
-    // The materialization pass: every device runs its whole timeline in
-    // one visit — construct, boot, windows, flush, snapshot, park. Peak
-    // residency is the LRU cap plus the devices in flight on workers.
-    for_each_slot([this](std::size_t i) { hibernate_task(i); });
-  } else {
-    for_each_slot([this](std::size_t i) {
-      slots_[i].ctx->finish();
-      slots_[i].flushed = true;
-    });
-  }
+  for_each_slot([this](std::size_t i) { slots_[i].ctx->finish(); });
   finished_ = true;
 }
 
 std::vector<std::string> Fleet::energy_digests() {
   std::vector<std::string> digests(slots_.size());
-  if (hibernating()) {
-    EANDROID_CHECK(finished_,
-                   "energy_digests on a hibernating fleet requires finish() "
-                   "(digests are served from snapshots)");
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      DeviceSlot& slot = slots_[i];
-      // Pinned devices may have been mutated after their snapshot; read
-      // them live. Everyone else answers from the parked form.
-      digests[i] = (slot.pinned && slot.ctx != nullptr)
-                       ? slot.ctx->energy_digest()
-                       : slot.snap.energy_digest;
-    }
-    return digests;
-  }
   for_each_slot([this, &digests](std::size_t i) {
     digests[i] = slots_[i].ctx->energy_digest();
   });
   return digests;
 }
 
-DeviceContext& Fleet::device(std::size_t i) {
-  DeviceSlot& slot = slots_[i];
-  if (hibernating()) {
-    if (slot.ctx == nullptr) {
-      materialize(slot, i);
-      if (finished_ && !slot.flushed) {
-        slot.ctx->finish();
-        slot.flushed = true;
-      }
-    }
-    if (!slot.pinned) {
-      std::lock_guard<std::mutex> lock(hib_mu_);
-      slot.pinned = true;
-      lru_.erase(std::remove(lru_.begin(), lru_.end(), i), lru_.end());
-    }
-  }
-  return *slot.ctx;
-}
-
-std::size_t Fleet::resident_devices() const {
-  std::size_t live = 0;
-  for (const DeviceSlot& slot : slots_) {
-    if (slot.ctx != nullptr) ++live;
-  }
-  return live;
-}
-
 obs::MetricsSnapshot Fleet::scheduler_metrics() const {
-  std::vector<std::pair<std::string, std::uint64_t>> counters = {
-      {"fleet.sched.windows_advanced",
-       windows_advanced_.load(std::memory_order_relaxed)},
-      {"fleet.sched.windows_consolidated",
-       windows_consolidated_.load(std::memory_order_relaxed)},
-      {"fleet.hib.snapshots", snapshots_.load(std::memory_order_relaxed)},
-      {"fleet.hib.evictions", evictions_.load(std::memory_order_relaxed)},
-      {"fleet.hib.restores", restores_.load(std::memory_order_relaxed)},
-      {"fleet.hib.snapshot_bytes",
-       snapshot_bytes_.load(std::memory_order_relaxed)},
-  };
+  std::uint64_t advanced = 0;
+  std::uint64_t consolidated = 0;
+  for (const DeviceSlot& slot : slots_) {
+    advanced += slot.windows_advanced;
+    consolidated += slot.windows_consolidated;
+  }
   const exp::WorkStealingExecutor::Stats s = exec_.stats();
-  counters.emplace_back("fleet.sched.tasks_executed", s.executed);
-  counters.emplace_back("fleet.sched.steals", s.steals);
-  counters.emplace_back("fleet.sched.injection_refills", s.injection_refills);
-  counters.emplace_back("fleet.sched.parks", s.parks);
-  return obs::MetricsSnapshot::of_counters(std::move(counters));
+  return obs::MetricsSnapshot::of_counters({
+      {"fleet.sched.windows_advanced", advanced},
+      {"fleet.sched.windows_consolidated", consolidated},
+      {"fleet.sched.tasks_executed", s.executed},
+      {"fleet.sched.steals", s.steals},
+      {"fleet.sched.injection_refills", s.injection_refills},
+      {"fleet.sched.parks", s.parks},
+  });
 }
 
 }  // namespace eandroid::fleet

@@ -35,7 +35,6 @@ void BroadcastManager::unregister_receiver(kernelsim::Uid uid,
 int BroadcastManager::send_broadcast(kernelsim::Uid sender,
                                      const std::string& action,
                                      bool by_system) {
-  ++sent_;
   // Collect receivers: manifest-declared first (by package name), then
   // dynamic registrations, deduplicated per uid — one onReceive per app
   // per broadcast, like Android's per-receiver delivery collapsed to our

@@ -60,7 +60,6 @@ class BroadcastManager {
   void register_receiver(kernelsim::Uid uid, const std::string& action);
   void unregister_receiver(kernelsim::Uid uid, const std::string& action);
 
-  [[nodiscard]] std::uint64_t broadcasts_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t deliveries() const { return delivered_; }
 
   /// Fault injection: the next `n` individual deliveries are dropped on
@@ -78,7 +77,6 @@ class BroadcastManager {
   AppHost& host_;
   EventBus& events_;
   std::unordered_map<std::string, std::vector<kernelsim::Uid>> dynamic_;
-  std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t drop_budget_ = 0;
   std::uint64_t dropped_ = 0;

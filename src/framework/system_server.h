@@ -148,7 +148,6 @@ class SystemServer : public AppHost {
     return params_;
   }
   [[nodiscard]] kernelsim::Uid launcher_uid() const { return launcher_uid_; }
-  [[nodiscard]] kernelsim::Uid systemui_uid() const { return systemui_uid_; }
   [[nodiscard]] kernelsim::Uid phone_uid() const { return phone_uid_; }
 
   // --- Fault injection / ANR watchdog ---

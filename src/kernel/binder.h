@@ -76,7 +76,6 @@ class BinderDriver {
   /// Fault injection: the next `n` try_transact() calls fail.
   void fail_next(std::uint64_t n) { fail_budget_ += n; }
   [[nodiscard]] std::uint64_t failed_total() const { return failed_; }
-  [[nodiscard]] std::uint64_t pending_failures() const { return fail_budget_; }
 
   /// Invariant hook: true when every live token's owner process is alive
   /// (death must reap tokens synchronously).

@@ -54,7 +54,7 @@ struct MetricsSnapshot {
   [[nodiscard]] const MetricRow* find(std::string_view name) const;
 
   /// Builds a counters-only snapshot from (name, value) pairs — the shape
-  /// subsystems that keep their hot counters in plain atomics (e.g. the
+  /// subsystems that keep their hot counters outside a registry (e.g. the
   /// fleet scheduler) use to export them in mergeable, renderable form.
   /// Input order is irrelevant; rows come out name-sorted like snapshot().
   [[nodiscard]] static MetricsSnapshot of_counters(

@@ -1,23 +1,22 @@
-// The fleet scheduler's contract: worker counts, grains, consolidation
-// and hibernation change throughput and memory, never results.
+// The fleet scheduler's contract: worker counts and consolidation change
+// throughput, never results.
 //
 //   * digests are bitwise identical to the serial reference (each device
 //     built alone and driven window by window with run_serially) across
-//     worker counts, advance grains, and multi-call run_for timelines;
+//     worker counts and multi-call run_for timelines;
 //   * with tracing on, the per-device trace BYTES match the serial
 //     reference too (consolidation only triggers with tracing off);
-//   * hibernation (snapshot → evict → replay-restore) is digest-invariant
-//     across eviction schedules, and restoring a parked device rebuilds
-//     bit-identical state;
-//   * devices handed out via device(i) are pinned: external mutations
-//     survive (they are never replayed away);
+//   * the scheduler's window and task counts do not depend on workers;
+//   * a mutation made through device(i) between runs reaches that device
+//     and no other;
 //   * campaign mutation after start is a checked error.
 //
 // Runs under the tsan label with multi-worker fleets: the executor's
-// deques, the broker's frozen read path, and the hibernation LRU are the
-// entire race surface.
+// deques, the broker's frozen read path, and the per-device scheduler
+// counts read after the barrier are the entire race surface.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "apps/demo_app.h"
-#include "fleet/aggregate.h"
 #include "fleet/fleet.h"
 
 namespace eandroid::fleet {
@@ -119,15 +117,11 @@ std::vector<std::string> serial_digests(int devices) {
 TEST(FleetAsyncTest, DigestsMatchSerialReferenceAcrossWorkerCountsAndGrains) {
   const std::vector<std::string> reference = serial_digests(16);
   ASSERT_EQ(reference.size(), 16u);
-  for (const unsigned workers : {1u, 2u, 4u}) {
+  for (const unsigned workers : {1u, 2u, 3u, 4u}) {
     FleetOptions options = base_options(16);
     options.workers = workers;
     EXPECT_EQ(run_fleet(options), reference) << "workers=" << workers;
   }
-  FleetOptions fine_grain = base_options(16);
-  fine_grain.workers = 3;
-  fine_grain.advance_grain_windows = 1;
-  EXPECT_EQ(run_fleet(fine_grain), reference);
 }
 
 TEST(FleetAsyncTest, TraceBytesMatchSerialReference) {
@@ -151,65 +145,17 @@ TEST(FleetAsyncTest, TraceBytesMatchSerialReference) {
   EXPECT_EQ(traces, reference);
 }
 
-TEST(FleetAsyncTest, HibernationIsDigestInvariantAcrossEvictionSchedules) {
-  const std::vector<std::string> reference = serial_digests(12);
-  for (const int cap : {1, 3, 12}) {
-    for (const int grain : {1, 8}) {
-      FleetOptions options = base_options(12);
-      options.max_resident_devices = cap;
-      options.advance_grain_windows = grain;
-      EXPECT_EQ(run_fleet(options), reference)
-          << "cap=" << cap << " grain=" << grain;
-    }
-  }
-}
-
-TEST(FleetAsyncTest, HibernationParksDevicesAndRestoresByReplay) {
-  FleetOptions options = base_options(10);
-  options.max_resident_devices = 3;
-  Fleet fleet(options);
-  fleet.broker().add_campaign(flood_campaign(8));
-  fleet.start();
-  fleet.run_for(sim::seconds(12));
-  // Lazy mode: nothing materialized until the finish pass.
-  EXPECT_EQ(fleet.resident_devices(), 0u);
-  fleet.finish();
-  // The working set honours the cap.
-  EXPECT_LE(fleet.resident_devices(), 3u);
-  const std::vector<std::string> digests = fleet.energy_digests();
-
-  // Snapshots carry the parked record for every device.
-  const obs::MetricsSnapshot metrics = fleet.scheduler_metrics();
-  ASSERT_NE(metrics.find("fleet.hib.snapshots"), nullptr);
-  EXPECT_EQ(metrics.find("fleet.hib.snapshots")->count, 10u);
-  EXPECT_GE(metrics.find("fleet.hib.evictions")->count, 7u);
-  EXPECT_EQ(fleet.snapshot(0).pushes_delivered, 8u);
-  EXPECT_GT(fleet.snapshot(0).sim_end_us, 0);
-
-  // Waking a parked device replays it into bit-identical state: its live
-  // digest equals the snapshot taken before eviction. Which three devices
-  // finish() leaves resident depends on worker timing, so wake four: at
-  // least one of them was parked.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fleet.device(i).energy_digest(), digests[i]) << "device " << i;
-  }
-  EXPECT_EQ(fleet.device(0).server().push().pushes_delivered(), 8u);
-  EXPECT_GE(fleet.scheduler_metrics().find("fleet.hib.restores")->count, 1u);
-}
-
 TEST(FleetAsyncTest, TouchedDevicesArePinnedNotReplayedAway) {
-  // Mutating a device through device(i) mid-run must stick: the fleet
-  // pins it instead of reconstructing it by replay (which would lose the
-  // mutation). A hibernating and a plain fleet get the same mid-run poke;
-  // digests for every device — including the poked one — must match.
-  const auto run = [](FleetOptions options, bool poke) {
-    Fleet fleet(std::move(options));
+  // A mutation made through device(i) between two run_for calls must
+  // stick on that device and reach no other.
+  const auto run = [](bool poke) {
+    Fleet fleet(base_options(8));
     fleet.broker().add_campaign(flood_campaign(6));
     fleet.start();
     fleet.run_for(sim::seconds(6));
     if (poke) {
       // An out-of-band push at the 6 s cut — an external mutation the
-      // broker's replay schedule knows nothing about.
+      // broker's schedule knows nothing about.
       auto& server = fleet.device(2).server();
       const auto* weather = server.packages().find("com.fleet.weather");
       EXPECT_NE(weather, nullptr);
@@ -220,26 +166,46 @@ TEST(FleetAsyncTest, TouchedDevicesArePinnedNotReplayedAway) {
     fleet.finish();
     return fleet.energy_digests();
   };
-  FleetOptions hib = base_options(8);
-  hib.max_resident_devices = 2;
-  const std::vector<std::string> plain = run(base_options(8), true);
-  EXPECT_EQ(run(std::move(hib), true), plain);
-  // Sanity: the poke was observable at all.
-  EXPECT_NE(plain[2], run(base_options(8), false)[2]);
+  const std::vector<std::string> poked = run(true);
+  const std::vector<std::string> clean = run(false);
+  ASSERT_EQ(poked.size(), clean.size());
+  for (std::size_t i = 0; i < poked.size(); ++i) {
+    if (i == 2) {
+      EXPECT_NE(poked[i], clean[i]) << "the poke did not reach device 2";
+    } else {
+      EXPECT_EQ(poked[i], clean[i]) << "the poke leaked to device " << i;
+    }
+  }
 }
 
-TEST(FleetAsyncTest, AggregateWorksOnAHibernatingFleet) {
-  const auto report_digest = [](FleetOptions options) {
+TEST(FleetAsyncTest, SchedulerCountsDoNotDependOnWorkers) {
+  // The window and task counts are deterministic per fleet run (e2ebench
+  // compares them run to run); only steals, parks and refills may vary.
+  constexpr int kDevices = 6;
+  constexpr sim::Duration kRun = sim::seconds(60);
+  const auto counts = [&](unsigned workers) {
+    FleetOptions options = base_options(kDevices);
+    options.workers = workers;
     Fleet fleet(std::move(options));
-    fleet.broker().add_campaign(flood_campaign(8));
+    fleet.broker().add_campaign(flood_campaign(3));
     fleet.start();
-    fleet.run_for(sim::seconds(15));
+    fleet.run_for(kRun);
     fleet.finish();
-    return aggregate_fleet(fleet).digest();
+    const obs::MetricsSnapshot m = fleet.scheduler_metrics();
+    return std::vector<std::uint64_t>{
+        m.find("fleet.sched.windows_advanced")->count,
+        m.find("fleet.sched.windows_consolidated")->count,
+        m.find("fleet.sched.tasks_executed")->count};
   };
-  FleetOptions hib = base_options(6);
-  hib.max_resident_devices = 2;
-  EXPECT_EQ(report_digest(std::move(hib)), report_digest(base_options(6)));
+  const std::vector<std::uint64_t> one = counts(1);
+  const std::vector<std::uint64_t> four = counts(4);
+  const auto windows = static_cast<std::uint64_t>(
+      kRun.micros() / base_options(kDevices).epoch.micros());
+  EXPECT_EQ(one[0], kDevices * windows);
+  EXPECT_EQ(four[0], kDevices * windows);
+  EXPECT_GT(one[1], 0u);
+  EXPECT_EQ(four[1], one[1]);
+  EXPECT_EQ(four[2], one[2]);
 }
 
 TEST(FleetAsyncTest, CampaignAfterAsyncStartIsACheckedError) {

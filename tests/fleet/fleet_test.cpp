@@ -113,7 +113,7 @@ TEST(FleetTest, SharedConfigIsOneObjectPerFleet) {
   const framework::PackageRecord* first =
       fleet.device(0).server().packages().find("com.fleet.syncclient");
   ASSERT_NE(first, nullptr);
-  for (std::size_t i = 1; i < fleet.size(); ++i) {
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
     EXPECT_EQ(fleet.device(i).server().params_ptr().get(), params)
         << "device " << i << " copied PowerParams";
     const framework::PackageRecord* pkg =
@@ -121,10 +121,11 @@ TEST(FleetTest, SharedConfigIsOneObjectPerFleet) {
     ASSERT_NE(pkg, nullptr);
     EXPECT_EQ(pkg->manifest.get(), first->manifest.get())
         << "device " << i << " copied the manifest";
+    // The stock default engine config is shared too.
+    EXPECT_EQ(fleet.device(i).spec().engine_config.get(),
+              shared_default_engine_config().get())
+        << "device " << i << " copied the EngineConfig";
   }
-  // The stock default engine config is shared too.
-  EXPECT_EQ(fleet.options().engine_config.get(),
-            shared_default_engine_config().get());
 }
 
 TEST(FleetTest, DigestsIndependentOfWorkerCount) {

@@ -61,22 +61,5 @@ TEST(CheckedErrorsTest, ContextOfUnknownPackageThrows) {
   EXPECT_NO_THROW(bed.context_of(kCastPackages[kPushApp]));
 }
 
-TEST(CheckedErrorsTest, HibernationRunsUnderDefaultOptions) {
-  // No legal-looking option mix is a checked error: a hibernating fleet
-  // needs nothing beyond its working-set cap.
-  fleet::FleetOptions options;
-  options.device_count = 4;
-  options.max_resident_devices = 2;
-  options.install_plan = cast_install_plan();
-  fleet::Fleet fleet(std::move(options));
-  fleet.start();
-  fleet.run_for(sim::seconds(5));
-  fleet.finish();
-  EXPECT_LE(fleet.resident_devices(), 2u);
-  for (const std::string& digest : fleet.energy_digests()) {
-    EXPECT_FALSE(digest.empty());
-  }
-}
-
 }  // namespace
 }  // namespace eandroid::fuzz
