@@ -20,6 +20,9 @@
 //     per device-epoch, measured over the second half of the run (the
 //     first half is warmup: retained buffers grow to their working-set
 //     sizes there). The 1024-device row is the number CI gates against.
+//
+//   * machine — nproc, CPU model, compiler and build type, so a baseline
+//     is only compared with a run of the same shape of machine.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -30,7 +33,9 @@
 #include <malloc.h>
 #include <memory>
 #include <new>
+#include <sched.h>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/demo_app.h"
@@ -106,6 +111,57 @@ std::int64_t peak_rss_kb() {
   }
   std::fclose(f);
   return kb;
+}
+
+// --- Machine header ---------------------------------------------------------
+
+unsigned cpu_count() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// The first "model name" of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::string model = "unknown";
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return model;
+  char line[512];
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "model name", 10) != 0) continue;
+    const char* colon = std::strchr(line, ':');
+    if (colon == nullptr) continue;
+    model = colon + 1;
+    model.erase(0, model.find_first_not_of(" \t"));
+    model.erase(model.find_last_not_of(" \t\n") + 1);
+    break;
+  }
+  std::fclose(f);
+  return model;
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return std::string("clang++ ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("g++ ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// A JSON string literal of `s` (quotes and backslashes escaped, control
+/// characters dropped).
+std::string quoted(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
 }
 
 // --- The shared workload: a sender, a push endpoint, a background load. ---
@@ -311,11 +367,15 @@ int main() {
     std::fprintf(json,
                  "{\n"
                  "  \"bench\": \"fleet_scaling\",\n"
+                 "  \"machine\": {\"nproc\": %u, \"cpu_model\": %s, "
+                 "\"compiler\": %s, \"build_type\": %s},\n"
                  "  \"memory\": {\"devices\": %d, "
                  "\"bytes_per_device_shared\": %lld, "
                  "\"bytes_per_device_copied\": %lld, "
                  "\"shared_savings_fraction\": %.4f},\n"
                  "  \"scaling\": [\n",
+                 cpu_count(), quoted(cpu_model()).c_str(),
+                 quoted(compiler()).c_str(), quoted(EA_BENCH_BUILD_TYPE).c_str(),
                  kMemoryDevices, static_cast<long long>(shared_bpd),
                  static_cast<long long>(copied_bpd), savings);
     for (std::size_t i = 0; i < results.size(); ++i) {

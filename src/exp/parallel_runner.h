@@ -1,5 +1,5 @@
-// ParallelRunner: fan N independent simulation jobs across a
-// WorkStealingExecutor and collect their results in submission order.
+// ParallelRunner: fan N independent simulation jobs across a WorkerPool
+// and collect their results in submission order.
 //
 // The contract each job must satisfy (see DESIGN.md §exp):
 //   * self-contained — it builds its own Testbed (or corpus slice, or any
@@ -14,13 +14,12 @@
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "exp/work_stealing.h"
+#include "exp/worker_pool.h"
 
 namespace eandroid::exp {
 
@@ -36,28 +35,19 @@ class ParallelRunner {
 
   explicit ParallelRunner(RunnerOptions options = {}) : options_(options) {}
 
-  /// Runs every job on a fresh executor, one submission per job; results
-  /// come back indexed exactly like `jobs`. If jobs throw, the
-  /// lowest-index exception is rethrown — but only after every job has
-  /// finished, so no job is ever abandoned mid-simulation.
+  /// Runs every job on a fresh pool, one index per job; results come
+  /// back indexed exactly like `jobs`. If jobs throw, the lowest-index
+  /// exception is rethrown — but only after every job has finished, so no
+  /// job is ever abandoned mid-simulation.
   std::vector<Result> run(std::vector<Job> jobs) {
-    Batch batch{std::move(jobs), {}, {}};
-    batch.results.resize(batch.jobs.size());
-    batch.errors.resize(batch.jobs.size());
-    {
-      WorkStealingExecutor executor(options_.threads);
-      for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
-        // {Batch*, index} fits std::function's small-buffer storage.
-        executor.submit([&batch, i] { batch.run(i); });
-      }
-      executor.wait_idle();
-    }
-    for (const std::exception_ptr& error : batch.errors) {
-      if (error) std::rethrow_exception(error);
-    }
+    // Job i writes only slot i.
+    std::vector<std::optional<Result>> slots(jobs.size());
+    WorkerPool(options_.threads).run(jobs.size(), [&](std::size_t i) {
+      slots[i].emplace(jobs[i]());
+    });
     std::vector<Result> results;
-    results.reserve(batch.results.size());
-    for (std::optional<Result>& result : batch.results) {
+    results.reserve(slots.size());
+    for (std::optional<Result>& result : slots) {
       results.push_back(std::move(*result));
     }
     return results;
@@ -73,25 +63,10 @@ class ParallelRunner {
   }
 
  private:
-  /// Per-job result and exception slots; job i writes only slot i.
-  struct Batch {
-    std::vector<Job> jobs;
-    std::vector<std::optional<Result>> results;
-    std::vector<std::exception_ptr> errors;
-
-    void run(std::size_t i) {
-      try {
-        results[i].emplace(jobs[i]());
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-  };
-
   RunnerOptions options_;
 };
 
-/// Fans `job(0) .. job(n-1)` out across the executor; the common "one job
+/// Fans `job(0) .. job(n-1)` out across a pool; the common "one job
 /// per seed / per scenario index" shape.
 template <typename Result>
 std::vector<Result> run_indexed(std::size_t n,

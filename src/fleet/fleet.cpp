@@ -9,10 +9,6 @@
 namespace eandroid::fleet {
 
 namespace {
-/// Causal windows a device task advances before requeueing itself: the
-/// fairness/steal granularity.
-constexpr std::size_t kAdvanceGrainWindows = 8;
-
 FleetOptions normalized(FleetOptions options) {
   EANDROID_CHECK(options.device_count >= 1,
                  "Fleet needs at least one device, got "
@@ -70,7 +66,7 @@ void run_serially(DeviceContext& device, int index, PushBroker& broker,
 Fleet::Fleet(FleetOptions options)
     : options_(normalized(std::move(options))),
       slots_(static_cast<std::size_t>(options_.device_count)),
-      exec_(options_.workers) {
+      pool_(options_.workers) {
   for (int i = 0; i < options_.device_count; ++i) {
     slots_[static_cast<std::size_t>(i)].ctx =
         std::make_unique<DeviceContext>(device_spec(options_, i));
@@ -79,16 +75,9 @@ Fleet::Fleet(FleetOptions options)
 
 Fleet::~Fleet() = default;
 
-template <typename Fn>
-void Fleet::for_each_slot(Fn&& fn) {
-  std::vector<exp::WorkStealingExecutor::Task> tasks;
-  tasks.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    tasks.push_back([&fn, i] { fn(i); });
-  }
-  exec_.submit_bulk(std::move(tasks));
-  // The aggregation cut: the ONLY cross-device barrier.
-  exec_.wait_idle();
+void Fleet::for_each_slot(const std::function<void(std::size_t)>& fn) {
+  tasks_executed_ += slots_.size();
+  pool_.run(slots_.size(), fn);
 }
 
 void Fleet::start() {
@@ -99,16 +88,15 @@ void Fleet::start() {
   for_each_slot([this](std::size_t i) { slots_[i].ctx->start(); });
 }
 
-void Fleet::advance_windows(std::size_t i, std::size_t w_end) {
+void Fleet::advance_windows(std::size_t i, std::size_t w_begin,
+                            std::size_t w_end) {
   DeviceSlot& slot = slots_[i];
   DeviceContext& device = *slot.ctx;
   const int index = static_cast<int>(i);
   obs::TraceRecorder* tr = device.obs().trace();
-  // Counted in locals and stored once per grain: the slot is this task's
-  // alone, so the counts cost no shared cache line.
   std::uint64_t advanced = 0;
   std::uint64_t consolidated = 0;
-  std::size_t w = slot.next_window;
+  std::size_t w = w_begin;
   while (w < w_end) {
     const sim::TimePoint begin = window_begin(w);
     const sim::TimePoint end = windows_[w];
@@ -137,36 +125,25 @@ void Fleet::advance_windows(std::size_t i, std::size_t w_end) {
     ++advanced;
     ++w;
   }
-  slot.next_window = w;
   slot.windows_advanced += advanced;
   slot.windows_consolidated += consolidated;
-}
-
-void Fleet::advance_task(std::size_t i, std::size_t target) {
-  const std::size_t stop =
-      std::min(target, slots_[i].next_window + kAdvanceGrainWindows);
-  advance_windows(i, stop);
-  if (stop < target) {
-    // Requeue on the worker's own deque (LIFO, stealable): the device
-    // keeps running ahead unless a thief rebalances it away.
-    exec_.submit([this, i, target] { advance_task(i, target); });
-  }
 }
 
 void Fleet::run_for(sim::Duration total) {
   EANDROID_CHECK(started_, "Fleet::run_for before start()");
   EANDROID_CHECK(!finished_, "Fleet::run_for after finish()");
+  const std::size_t first = windows_.size();
   const sim::TimePoint end = clock_ + total;
   while (clock_ < end) {
     const sim::TimePoint window_end = std::min(end, clock_ + options_.epoch);
     windows_.push_back(window_end);
     clock_ = window_end;
   }
-  // One task per device walks it through the new windows in grains,
-  // requeueing until caught up. No per-window barrier — the wait inside
-  // is the aggregation cut.
-  const std::size_t target = windows_.size();
-  for_each_slot([this, target](std::size_t i) { advance_task(i, target); });
+  // One task per device walks it through all the new windows; the end of
+  // the call is the only barrier.
+  const std::size_t last = windows_.size();
+  for_each_slot(
+      [this, first, last](std::size_t i) { advance_windows(i, first, last); });
 }
 
 void Fleet::finish() {
@@ -189,14 +166,15 @@ obs::MetricsSnapshot Fleet::scheduler_metrics() const {
     advanced += slot.windows_advanced;
     consolidated += slot.windows_consolidated;
   }
-  const exp::WorkStealingExecutor::Stats s = exec_.stats();
+  // The pool never steals, refills or parks, so those three read 0. They
+  // stay because e2ebench's fleet workload fails on a missing name.
   return obs::MetricsSnapshot::of_counters({
       {"fleet.sched.windows_advanced", advanced},
       {"fleet.sched.windows_consolidated", consolidated},
-      {"fleet.sched.tasks_executed", s.executed},
-      {"fleet.sched.steals", s.steals},
-      {"fleet.sched.injection_refills", s.injection_refills},
-      {"fleet.sched.parks", s.parks},
+      {"fleet.sched.tasks_executed", tasks_executed_},
+      {"fleet.sched.steals", 0},
+      {"fleet.sched.injection_refills", 0},
+      {"fleet.sched.parks", 0},
   });
 }
 

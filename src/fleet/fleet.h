@@ -1,4 +1,4 @@
-// Fleet: N simulated devices advanced by a work-stealing executor.
+// Fleet: N simulated devices advanced by a worker pool.
 //
 // The multi-device layer the one-phone testbed grew into. A fleet builds
 // all N DeviceContexts up front from one FleetOptions — every device
@@ -10,30 +10,30 @@
 // (aggregation cuts) may occur. Every run_for call appends windows at
 // `epoch` granularity.
 //
-// Scheduling: one task per device on a WorkStealingExecutor. Each task
-// walks ITS device through the pending windows — inject, mark, advance —
-// a fixed grain of windows at a time, requeueing itself on the worker's
-// own deque until caught up. Devices run ahead of each other freely; the
-// only barrier is the wait_idle() at the end of run_for (the aggregation
-// cut). With tracing off a task also CONSOLIDATES runs of sendless
-// windows into a single run_until (splitting run_until where nothing is
-// injected is an identity), so idle devices cross long stretches in one
-// hop.
+// Scheduling: each call (start, run_for, finish, energy_digests) runs
+// every device as one task on the fleet's exp::WorkerPool. A run_for task
+// walks ITS device through all of the call's new windows — inject, mark,
+// advance — in one go: no device touches another before the call's end,
+// which is the only barrier (the aggregation cut). With tracing off a
+// task also CONSOLIDATES runs of sendless windows into a single run_until
+// (splitting run_until where nothing is injected is an identity), so idle
+// devices cross long stretches in one hop.
 //
 // Determinism: a device's event stream is a pure function of its spec
 // and the campaigns — injection content depends only on (device_index,
-// window boundaries), never on worker count or stealing — so per-device
-// digests and trace bytes are bitwise identical to the serial reference
-// (run_serially below) across worker counts and repeated runs. The
-// differential suites in tests/fleet/ pin exactly that.
+// window boundaries), never on worker count or which thread runs the
+// device — so per-device digests and trace bytes are bitwise identical to
+// the serial reference (run_serially below) across worker counts and
+// repeated runs. The differential suites in tests/fleet/ pin exactly that.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "exp/work_stealing.h"
+#include "exp/worker_pool.h"
 #include "fleet/device_context.h"
 #include "fleet/push_broker.h"
 #include "obs/metrics.h"
@@ -42,7 +42,7 @@ namespace eandroid::fleet {
 
 /// How the fleet moves devices through the causal-window timeline.
 enum class Scheduler {
-  kWorkStealing,  ///< per-device tasks on a work-stealing executor
+  kWorkStealing,  ///< names the only scheduler: one pool task per device
 };
 
 struct FleetOptions {
@@ -53,8 +53,8 @@ struct FleetOptions {
   std::uint64_t base_seed = 1;
   std::uint64_t seed_stride = 1;
 
-  /// Does nothing: work stealing is the only scheduler. Kept so callers
-  /// that name it explicitly keep compiling.
+  /// Does nothing: there is one scheduler. Kept so callers that name it
+  /// explicitly keep compiling.
   Scheduler scheduler = Scheduler::kWorkStealing;
   /// Worker threads; 0 means std::thread::hardware_concurrency(). Results
   /// never depend on this.
@@ -103,7 +103,9 @@ class Fleet {
 
   /// Advances the whole fleet by `total`, appending causal windows at
   /// `epoch` granularity. May be called repeatedly; the fleet clock
-  /// carries across calls.
+  /// carries across calls. If devices throw, every other device still
+  /// reaches the end of the call, and the lowest device index's error is
+  /// rethrown; the failed devices stay where they threw.
   void run_for(sim::Duration total);
 
   /// Closes every device's final partial sample window. Call after the
@@ -115,19 +117,16 @@ class Fleet {
   [[nodiscard]] std::vector<std::string> energy_digests();
 
   /// Scheduler counters as a mergeable, renderable snapshot: fleet.sched.*
-  /// (windows advanced/consolidated, executor tasks/steals/refills/parks).
-  /// Driver thread only, between runs: it sums per-device counts the
-  /// workers wrote before run_for's barrier.
+  /// (windows advanced/consolidated, device tasks run, and three names a
+  /// pool without stealing reads as 0). Driver thread only, between runs:
+  /// it sums per-device counts the workers wrote before the barrier.
   [[nodiscard]] obs::MetricsSnapshot scheduler_metrics() const;
 
  private:
-  /// One device's scheduling state. Exactly one worker task owns a slot
-  /// at a time (tasks are per-device and never overlap), so the fields
-  /// need no lock.
+  /// One device and its scheduler counts. Each pool call runs a slot on
+  /// exactly one thread, so the fields need no lock.
   struct DeviceSlot {
     std::unique_ptr<DeviceContext> ctx;
-    /// Causal windows fully applied to ctx.
-    std::size_t next_window = 0;
     /// Windows advanced, and of those folded into a preceding window's
     /// run_until (fleet.sched.windows_advanced / _consolidated).
     std::uint64_t windows_advanced = 0;
@@ -138,29 +137,29 @@ class Fleet {
     return w == 0 ? sim::TimePoint{} : windows_[w - 1];
   }
 
-  /// Walks slot i's device from its next window up to (excluding)
-  /// window `w_end`: inject, mark, advance. With tracing off, folds runs
-  /// of sendless windows into one run_until.
-  void advance_windows(std::size_t i, std::size_t w_end);
-  /// One task grain: advance slot i up to `target`, requeue if not
-  /// caught up.
-  void advance_task(std::size_t i, std::size_t target);
+  /// Walks slot i's device through windows [w_begin, w_end): inject,
+  /// mark, advance. With tracing off, folds runs of sendless windows into
+  /// one run_until.
+  void advance_windows(std::size_t i, std::size_t w_begin,
+                       std::size_t w_end);
 
-  /// Runs `fn(i)` for every slot as one executor task each, and waits
-  /// idle (the aggregation cut).
-  template <typename Fn>
-  void for_each_slot(Fn&& fn);
+  /// Runs `fn(i)` for every slot, one pool task each, and returns when
+  /// all are done (the aggregation cut).
+  void for_each_slot(const std::function<void(std::size_t)>& fn);
 
   FleetOptions options_;
   std::vector<DeviceSlot> slots_;
   PushBroker broker_;
-  exp::WorkStealingExecutor exec_;
+  /// Device tasks run: slots times for_each_slot calls.
+  std::uint64_t tasks_executed_ = 0;
   /// Causal-window end boundaries, fleet-lifetime. windows_[w] closes
   /// window w; window_begin(w) opens it.
   std::vector<sim::TimePoint> windows_;
   sim::TimePoint clock_;
   bool started_ = false;
   bool finished_ = false;
+  /// Declared last: its threads run tasks that use the members above.
+  exp::WorkerPool pool_;
 };
 
 /// The DeviceSpec a Fleet built from `options` gives device `index`.

@@ -87,7 +87,7 @@ Observed run_serial_fleet(const ScenarioProgram& program, bool trace) {
 }
 
 /// Every device runs the same program (device rng seeds differ via
-/// seed_stride, so the population is not N clones) on the work-stealing
+/// seed_stride, so the population is not N clones) on the multi-worker
 /// fleet.
 Observed run_fleet(const ScenarioProgram& program, bool trace) {
   fleet::Fleet f(fleet_options(program, trace));
@@ -217,8 +217,8 @@ OracleVerdict run_oracle(const ScenarioProgram& program,
     const Observed reference = timed("fleet.reference", &verdict, [&] {
       return run_serial_fleet(program, trace);
     });
-    compare("fleet.work_stealing", reference,
-            timed("fleet.work_stealing", &verdict,
+    compare("fleet.parallel", reference,
+            timed("fleet.parallel", &verdict,
                   [&] { return run_fleet(program, trace); }),
             &verdict);
   }

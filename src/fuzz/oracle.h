@@ -12,7 +12,7 @@
 //
 //   fleet legs — a 4-device serial reference (each device built alone and
 //   driven window by window with fleet::run_serially) against the
-//   work-stealing fleet, with a push-broker campaign layered on top so
+//   multi-worker fleet, with a push-broker campaign layered on top so
 //   cross-device injection is in play.
 //
 // The verdict lists one line per broken leg plus any invariant
@@ -34,7 +34,7 @@ namespace eandroid::fuzz {
 struct OracleOptions {
   /// Single-device legs (determinism, per-step invariants).
   bool single_legs = true;
-  /// Fleet legs (serial reference vs the work-stealing fleet). Heavier —
+  /// Fleet legs (serial reference vs the multi-worker fleet). Heavier —
   /// two 4-device runs per program.
   bool fleet_legs = true;
   /// Record and compare trace bytes as well as digests.

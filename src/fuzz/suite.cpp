@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include "exp/parallel_runner.h"
 #include "fuzz/generator.h"

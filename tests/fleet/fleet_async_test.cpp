@@ -7,19 +7,24 @@
 //   * with tracing on, the per-device trace BYTES match the serial
 //     reference too (consolidation only triggers with tracing off);
 //   * the scheduler's window and task counts do not depend on workers;
+//   * a device that throws fails run_for with the lowest device's error,
+//     after every other device reached the window end;
 //   * a mutation made through device(i) between runs reaches that device
 //     and no other;
 //   * campaign mutation after start is a checked error.
 //
-// Runs under the tsan label with multi-worker fleets: the executor's
-// deques, the broker's frozen read path, and the per-device scheduler
-// counts read after the barrier are the entire race surface.
+// Runs under the tsan label with multi-worker fleets: the worker pool's
+// batch hand-off, the broker's frozen read path, and the per-device
+// scheduler counts read after the barrier are the entire race surface.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -114,7 +119,7 @@ std::vector<std::string> serial_digests(int devices) {
       .first;
 }
 
-TEST(FleetAsyncTest, DigestsMatchSerialReferenceAcrossWorkerCountsAndGrains) {
+TEST(FleetAsyncTest, DigestsMatchSerialReferenceAcrossWorkerCounts) {
   const std::vector<std::string> reference = serial_digests(16);
   ASSERT_EQ(reference.size(), 16u);
   for (const unsigned workers : {1u, 2u, 3u, 4u}) {
@@ -143,6 +148,39 @@ TEST(FleetAsyncTest, TraceBytesMatchSerialReference) {
       run_serial(options, flood_campaign(5), {sim::seconds(9)}).second;
   ASSERT_FALSE(reference[0].empty());
   EXPECT_EQ(traces, reference);
+}
+
+TEST(FleetAsyncTest, RunForRethrowsTheLowestDeviceErrorAfterEveryDeviceRan) {
+  // Devices 2 and 5 fail mid-window, device 2 last in wall time. Whatever
+  // thread runs them, run_for reports device 2, and only after every
+  // other device has reached the end of the call.
+  for (const unsigned workers : {1u, 4u}) {
+    FleetOptions options = base_options(8);
+    options.workers = workers;
+    Fleet fleet(options);
+    fleet.broker().add_campaign(flood_campaign(4));
+    fleet.start();
+    for (const std::size_t failing : {2u, 5u}) {
+      fleet.device(failing).sim().schedule_at(
+          sim::TimePoint{} + sim::seconds(3), [failing] {
+            if (failing == 2) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            }
+            throw std::runtime_error("device " + std::to_string(failing));
+          });
+    }
+    try {
+      fleet.run_for(sim::seconds(6));
+      ADD_FAILURE() << "run_for did not rethrow, workers=" << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "device 2") << "workers=" << workers;
+    }
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      if (i == 2 || i == 5) continue;
+      EXPECT_EQ(fleet.device(i).sim().now().micros(), fleet.now().micros())
+          << "device " << i << ", workers=" << workers;
+    }
+  }
 }
 
 TEST(FleetAsyncTest, TouchedDevicesArePinnedNotReplayedAway) {
@@ -180,7 +218,7 @@ TEST(FleetAsyncTest, TouchedDevicesArePinnedNotReplayedAway) {
 
 TEST(FleetAsyncTest, SchedulerCountsDoNotDependOnWorkers) {
   // The window and task counts are deterministic per fleet run (e2ebench
-  // compares them run to run); only steals, parks and refills may vary.
+  // compares them run to run).
   constexpr int kDevices = 6;
   constexpr sim::Duration kRun = sim::seconds(60);
   const auto counts = [&](unsigned workers) {

@@ -27,7 +27,7 @@ TEST(OracleTest, HealthyTreePassesEveryLeg) {
   // Every enabled leg reports a timing entry.
   const char* const expected[] = {"single.reference", "single.determinism",
                                   "single.invariants", "fleet.reference",
-                                  "fleet.work_stealing"};
+                                  "fleet.parallel"};
   for (const char* leg : expected) {
     EXPECT_TRUE(std::any_of(verdict.timings.begin(), verdict.timings.end(),
                             [leg](const LegTiming& t) { return t.leg == leg; }))
